@@ -29,10 +29,6 @@ class ProductQuotientSpec:
     psi: Automorphism
     branch1: BranchDataP1
     branch2: BranchDataP1
-    # explicit overrides for actions not described by branch data (covers
-    # constructed from equations rather than building data)
-    fixed1: frozenset[GroupElement] | None = None
-    fixed2: frozenset[GroupElement] | None = None
 
 
 def fixed_point_elements(data: BranchDataP1) -> frozenset[GroupElement]:
@@ -155,9 +151,8 @@ def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
     g1, g2 = rh_genus(spec.branch1), rh_genus(spec.branch2)
     invariants = beauville_invariants(g1, g2, spec.group.order)
 
-    fix1 = spec.fixed1 if spec.fixed1 is not None else fixed_point_elements(spec.branch1)
-    fix2 = spec.fixed2 if spec.fixed2 is not None else fixed_point_elements(spec.branch2)
-    free, witness = is_free(spec.psi, fix1, fix2)
+    free, witness = is_free(spec.psi, fixed_point_elements(spec.branch1),
+                            fixed_point_elements(spec.branch2))
     if not free:
         raise InvalidCoverData(
             f"the graph action is not free: witness {witness.coords}")

@@ -2,9 +2,11 @@
 
 Scenarios are JSON files describing one computation each; `run` executes a
 scenario (by path, or by the name of a bundled one) and prints a
-human-readable report, or the same data as JSON with --json.  Exit codes:
-0 success, 1 malformed input or failed validation, 2 internal inconsistency
-(a consistency identity such as the eigentable sum failed).
+human-readable report, or the same data as JSON with --json.  Each runner
+builds only the JSON report; the text report is rendered from it, so the two
+views cannot disagree.  Exit codes: 0 success, 1 malformed input or failed
+validation, 2 internal inconsistency (a consistency identity such as the
+eigentable sum failed).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import sys
 from importlib import resources
+from math import prod
 
 import jsonschema
 
@@ -29,189 +32,98 @@ class ScenarioError(Exception):
         self.exit_code = exit_code
 
 
-_COEFF_MAP = {"type": "object", "additionalProperties": {"type": "integer"}}
-_NAME_LIST = {"type": "array", "items": {"type": "string"}, "minItems": 1}
+class FailedReport(Exception):
+    """A report whose own checks failed; its partial result becomes the error text."""
+
+    def __init__(self, result: dict, exit_code: int):
+        super().__init__(result, exit_code)
+        self.result, self.exit_code = result, exit_code
+
+
+def _closed(properties, required=(), **extra):
+    """Schema of a JSON object with exactly the given properties."""
+    return {"type": "object", "required": list(required), "properties": properties,
+            "additionalProperties": False, **extra}
+
+
+_INT = {"type": "integer"}
+_NATURAL = {"type": "integer", "minimum": 0}
+_STRING = {"type": "string"}
+_COEFF_MAP = {"type": "object", "additionalProperties": _INT}
+_NAME_LIST = {"type": "array", "items": _STRING, "minItems": 1}
 _DIVISOR = {"oneOf": [_COEFF_MAP, _NAME_LIST]}
-_ELEMENT = {"type": "array", "items": {"type": "integer"}, "minItems": 1}
-_BRANCH_ENTRY = {
-    "type": "object",
-    "required": ["element"],
-    "properties": {
-        "element": _ELEMENT,
-        "degree": {"type": "integer", "minimum": 0},
-        "points": {"type": "array", "items": {"type": "string"}},
-    },
-    "additionalProperties": False,
+_ELEMENT = {"type": "array", "items": _INT, "minItems": 1}
+_CURVE = _closed({
+    "branch": {"type": "array", "items": _closed(
+        {"element": _ELEMENT, "degree": _NATURAL, "points": {"type": "array", "items": _STRING}},
+        ["element"])},
+    "line_bundles": {"type": "array", "items": _INT},
+}, ["branch", "line_bundles"])
+# lattice operation -> (the fields it reads, its text line)
+_LATTICE_OPS = {
+    "intersect": (["a", "b"], "({a}) . ({b}) = {result}"),
+    "pullback": (["degree", "a", "b"], "degree {degree} pullback of ({a}) . ({b}) = {result}"),
+    "canonical": ([], "canonical class = {result}"),
+    "negative-definite": (["gram"], "negative definite: {result}"),
+    "divisible": (["a", "k"], "({a}) divisible by {k}: {result}"),
 }
-_CURVE = {
-    "type": "object",
-    "required": ["branch", "line_bundles"],
-    "properties": {
-        "branch": {"type": "array", "items": _BRANCH_ENTRY},
-        "line_bundles": {"type": "array", "items": {"type": "integer"}},
-    },
-    "additionalProperties": False,
+
+# kind -> (required fields, properties), beside the envelope every kind shares
+_KIND_FIELDS = {
+    "z22-surface-cover": (["branch", "line_bundles"], {
+        "blowup_points": {"const": 6},
+        "point_configuration": {"const": "quadrilateral"},
+        "branch": _closed({"D1": _DIVISOR, "D2": _DIVISOR, "D3": _DIVISOR}, ["D1", "D2", "D3"]),
+        "line_bundles": _closed({"L1": _COEFF_MAP, "L2": _COEFF_MAP}, ["L1", "L2"]),
+    }),
+    "product-quotient": (["group", "automorphism", "curve1", "curve2"], {
+        "group": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+        "automorphism": {"type": "array", "items": _ELEMENT},
+        "curve1": _CURVE,
+        "curve2": _CURVE,
+    }),
+    "fermat": ([], {}),
+    "proofcheck": ([], {
+        "checks": {"type": "array", "items": {"enum": ["case-table", "reider", "lemma32"]},
+                   "minItems": 1},
+    }),
+    "double-cover": (["cases"], {
+        "cases": {"type": "array", "minItems": 1, "items": _closed(
+            {"label": _STRING, "chi_base": _INT, "pg_base": _NATURAL, "K2_base": _INT,
+             "M_sq": _INT, "M_K": _INT, "h0_K_plus_M": _NATURAL},
+            ["label", "chi_base", "pg_base", "K2_base", "M_sq", "M_K", "h0_K_plus_M"])},
+    }),
+    "linsys": (["systems"], {
+        "configuration": {"const": "quadrilateral"},
+        "points": {"type": "array", "minItems": 1, "items": {
+            "type": "array", "items": {"oneOf": [_INT, _STRING]}, "minItems": 3, "maxItems": 3}},
+        "labels": {"type": "array", "items": _STRING},
+        "systems": {"type": "array", "minItems": 1, "items": _closed(
+            {"degree": _NATURAL,
+             "multiplicities": {"type": "object", "additionalProperties": _NATURAL},
+             "class": _COEFF_MAP},
+            anyOf=[{"required": ["class"]}, {"required": ["degree", "multiplicities"]}])},
+    }),
+    "lattice": (["operations"], {
+        "blowup_points": _NATURAL,
+        "lattice": {"const": "quadric"},
+        "operations": {"type": "array", "minItems": 1, "items": _closed(
+            {"op": {"enum": list(_LATTICE_OPS)},
+             "a": _COEFF_MAP,
+             "b": _COEFF_MAP,
+             "degree": {"type": "integer", "minimum": 1},
+             "k": {"type": "integer", "minimum": 2},
+             "gram": {"type": "array", "items": {"type": "array", "items": _INT}}},
+            ["op"],
+            allOf=[{"if": {"properties": {"op": {"const": op}}}, "then": {"required": fields}}
+                   for op, (fields, _) in _LATTICE_OPS.items() if fields])},
+    }),
 }
 
 SCHEMAS = {
-    "z22-surface-cover": {
-        "type": "object",
-        "required": ["kind", "branch", "line_bundles"],
-        "properties": {
-            "kind": {"const": "z22-surface-cover"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "blowup_points": {"const": 6},
-            "point_configuration": {"const": "quadrilateral"},
-            "branch": {
-                "type": "object",
-                "required": ["D1", "D2", "D3"],
-                "properties": {"D1": _DIVISOR, "D2": _DIVISOR, "D3": _DIVISOR},
-                "additionalProperties": False,
-            },
-            "line_bundles": {
-                "type": "object",
-                "required": ["L1", "L2"],
-                "properties": {"L1": _COEFF_MAP, "L2": _COEFF_MAP},
-                "additionalProperties": False,
-            },
-        },
-        "additionalProperties": False,
-    },
-    "product-quotient": {
-        "type": "object",
-        "required": ["kind", "group", "automorphism", "curve1", "curve2"],
-        "properties": {
-            "kind": {"const": "product-quotient"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "group": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
-            "automorphism": {"type": "array", "items": _ELEMENT},
-            "curve1": _CURVE,
-            "curve2": _CURVE,
-        },
-        "additionalProperties": False,
-    },
-    "fermat": {
-        "type": "object",
-        "required": ["kind"],
-        "properties": {
-            "kind": {"const": "fermat"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-        },
-        "additionalProperties": False,
-    },
-    "proofcheck": {
-        "type": "object",
-        "required": ["kind"],
-        "properties": {
-            "kind": {"const": "proofcheck"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "checks": {
-                "type": "array",
-                "items": {"enum": ["case-table", "reider", "lemma32"]},
-                "minItems": 1,
-            },
-        },
-        "additionalProperties": False,
-    },
-    "double-cover": {
-        "type": "object",
-        "required": ["kind", "cases"],
-        "properties": {
-            "kind": {"const": "double-cover"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "cases": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "required": ["label", "chi_base", "pg_base", "K2_base",
-                                 "M_sq", "M_K", "h0_K_plus_M"],
-                    "properties": {
-                        "label": {"type": "string"},
-                        "chi_base": {"type": "integer"},
-                        "pg_base": {"type": "integer", "minimum": 0},
-                        "K2_base": {"type": "integer"},
-                        "M_sq": {"type": "integer"},
-                        "M_K": {"type": "integer"},
-                        "h0_K_plus_M": {"type": "integer", "minimum": 0},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "additionalProperties": False,
-    },
-    "linsys": {
-        "type": "object",
-        "required": ["kind", "systems"],
-        "properties": {
-            "kind": {"const": "linsys"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "configuration": {"const": "quadrilateral"},
-            "points": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "array",
-                    "items": {"oneOf": [{"type": "integer"}, {"type": "string"}]},
-                    "minItems": 3, "maxItems": 3,
-                },
-            },
-            "labels": {"type": "array", "items": {"type": "string"}},
-            "systems": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "degree": {"type": "integer", "minimum": 0},
-                        "multiplicities": {"type": "object",
-                                           "additionalProperties": {"type": "integer", "minimum": 0}},
-                        "class": _COEFF_MAP,
-                    },
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "additionalProperties": False,
-    },
-    "lattice": {
-        "type": "object",
-        "required": ["kind", "operations"],
-        "properties": {
-            "kind": {"const": "lattice"},
-            "name": {"type": "string"},
-            "description": {"type": "string"},
-            "blowup_points": {"type": "integer", "minimum": 0},
-            "lattice": {"const": "quadric"},
-            "operations": {
-                "type": "array",
-                "minItems": 1,
-                "items": {
-                    "type": "object",
-                    "required": ["op"],
-                    "properties": {
-                        "op": {"enum": ["intersect", "pullback", "canonical",
-                                        "negative-definite", "divisible"]},
-                        "a": _COEFF_MAP,
-                        "b": _COEFF_MAP,
-                        "degree": {"type": "integer", "minimum": 1},
-                        "k": {"type": "integer", "minimum": 2},
-                        "gram": {"type": "array",
-                                 "items": {"type": "array", "items": {"type": "integer"}}},
-                    },
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "additionalProperties": False,
-    },
+    kind: _closed({"kind": {"const": kind}, "name": _STRING, "description": _STRING, **fields},
+                  ["kind", *required])
+    for kind, (required, fields) in _KIND_FIELDS.items()
 }
 
 
@@ -228,6 +140,31 @@ def validate_payload(payload) -> str:
         err = errors[0]
         raise ScenarioError(f"{err.json_path}: {err.message}")
     return kind
+
+
+def _flag(value) -> str:
+    return str(value).lower()
+
+
+def _braces(names) -> str:
+    return "{" + ", ".join(names) + "}"
+
+
+def _invariants(inv) -> dict:
+    return {"K2": inv.K2, "chi": inv.chi, "pg": inv.pg, "q": inv.q}
+
+
+def _invariant_tuple(inv) -> str:
+    return f"({inv['K2']}, {inv['chi']}, {inv['pg']}, {inv['q']})"
+
+
+def _checks(validation) -> list[dict]:
+    return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in validation.checks]
+
+
+def _check_lines(checks, prefix: str) -> list[str]:
+    return [f"{prefix} {c['name']}: {'ok' if c['passed'] else 'FAIL ' + c['detail']}"
+            for c in checks]
 
 
 # ---------------------------------------------------------------- z22 cover
@@ -258,26 +195,12 @@ def run_z22(payload, verbose=False):
     data = covers.BranchDataSurface(catalog.lattice, branch, (L1, L2), components=comps)
 
     validation = covers.validate_building_data(data)
-    result = {"kind": "z22-surface-cover",
-              "validation": {"ok": validation.ok,
-                             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                                        for c in validation.checks]}}
-    lines = [f"building data: {'valid' if validation.ok else 'INVALID'}"]
-    if verbose:
-        lines += [f"  check {c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}"
-                  for c in validation.checks]
+    result = {"validation": {"ok": validation.ok, "checks": _checks(validation)}}
     if not validation.ok:
-        fail = validation.first_failure()
-        lines.append(f"failed relation: {fail.name} ({fail.detail})")
-        raise ScenarioError("\n".join(lines))
+        raise FailedReport(result, 1)
 
-    def h0(cls):
-        return linsys.h0_class(cfg, cls)
-
-    report = covers.z22_bicanonical_report(data, h0)
-    dims = [dim for _, _, dim in report.eigentable]
-    kernel_names = [covers.z22_element_name(g) for g in report.kernel.elements()]
-    nonzero = [covers.z22_element_name(g) for g in report.kernel.elements() if not g.is_zero()]
+    report = covers.z22_bicanonical_report(data, lambda cls: linsys.h0_class(cfg, cls))
+    kernel = report.kernel.elements()
     result.update({
         "K2_cover": report.invariants.K2,
         "K2": report.K2_minimal,
@@ -288,25 +211,36 @@ def run_z22(payload, verbose=False):
         "bicanonical_class_downstairs": str(report.total_class),
         "eigentable": [{"character": label, "class": str(cls), "dimension": dim}
                        for label, cls, dim in report.eigentable],
-        "kernel": kernel_names,
+        "kernel": [covers.z22_element_name(g) for g in kernel],
         "verdict": {"birational": report.verdict.birational,
                     "degree": report.verdict.degree,
-                    "composed_with": nonzero},
+                    "composed_with": [covers.z22_element_name(g) for g in kernel
+                                      if not g.is_zero()]},
     })
-    lines.append(f"cover invariants before contraction: K²={report.invariants.K2}, "
-                 f"χ={report.invariants.chi}, p_g={report.invariants.pg}, q={report.invariants.q}")
-    lines.append(f"bicanonical class downstairs: {report.total_class}")
-    dims_str = ",".join(str(d) for d in dims)
-    if report.verdict.birational:
-        tail = "bicanonical birational, degree 1"
-    else:
-        tail = (f"bicanonical composed with {', '.join(nonzero)}, "
-                f"degree {report.verdict.degree}")
-    k2_text = (f"K²={report.K2_minimal}" if report.K2_minimal is not None
-               else f"K²(cover)={report.invariants.K2}")
-    lines.append(f"{k2_text}, p_g={report.invariants.pg}, "
-                 f"p₂={report.p2}, eigentable ({dims_str}), {tail}")
-    return result, lines
+    return result
+
+
+def render_z22(result, verbose=False):
+    validation = result["validation"]
+    lines = [f"building data: {'valid' if validation['ok'] else 'INVALID'}"]
+    if verbose:
+        lines += _check_lines(validation["checks"], "  check")
+    if not validation["ok"]:
+        fail = next(c for c in validation["checks"] if not c["passed"])
+        return lines + [f"failed relation: {fail['name']} ({fail['detail']})"]
+    verdict = result["verdict"]
+    k2_text = (f"K²={result['K2']}" if result["K2"] is not None
+               else f"K²(cover)={result['K2_cover']}")
+    tail = ("bicanonical birational" if verdict["birational"]
+            else f"bicanonical composed with {', '.join(verdict['composed_with'])}")
+    dims = ",".join(str(e["dimension"]) for e in result["eigentable"])
+    return lines + [
+        f"cover invariants before contraction: K²={result['K2_cover']}, "
+        f"χ={result['chi']}, p_g={result['pg']}, q={result['q']}",
+        f"bicanonical class downstairs: {result['bicanonical_class_downstairs']}",
+        f"{k2_text}, p_g={result['pg']}, p₂={result['p2']}, eigentable ({dims}), "
+        f"{tail}, degree {verdict['degree']}",
+    ]
 
 
 # ---------------------------------------------------------- product quotient
@@ -331,72 +265,73 @@ def _build_curve(group, spec):
 
 def run_product_quotient(payload, verbose=False):
     group = make_group(payload["group"])
-    if len(payload["automorphism"]) != group.rank:
-        raise ScenarioError("automorphism needs one image per group generator")
     psi = Automorphism.from_images(group, payload["automorphism"])
-    curve1 = _build_curve(group, payload["curve1"])
-    curve2 = _build_curve(group, payload["curve2"])
+    curves = [_build_curve(group, payload["curve1"]), _build_curve(group, payload["curve2"])]
 
-    lines = []
-    for name, data in (("curve 1", curve1), ("curve 2", curve2)):
+    building_data = []
+    for number, data in enumerate(curves, 1):
         validation = covers.validate_building_data(data)
         if verbose:
-            for gamma, degree in data.sorted_entries():
-                lines.append(f"  {name} branch divisor at {list(gamma.coords)}: degree {degree}")
-            lines += [f"  {name} check {c.name}: {'ok' if c.passed else 'FAIL ' + c.detail}"
-                      for c in validation.checks]
+            building_data.append({
+                "branch": [{"element": list(gamma.coords), "degree": degree}
+                           for gamma, degree in data.sorted_entries()],
+                "checks": _checks(validation)})
         if not validation.ok:
             fail = validation.first_failure()
             raise ScenarioError(
-                f"{name} building data invalid: {fail.name} ({fail.detail})")
+                f"curve {number} building data invalid: {fail.name} ({fail.detail})")
 
-    report = beauville.bicanonical_report(
-        beauville.ProductQuotientSpec(group, psi, curve1, curve2))
-    dims = sorted((e.dimension for e in report.entries), reverse=True)
-    nonzero_dims = [d for d in dims if d > 0]
-    kernel_names = [element_name(g) for g in report.kernel.elements()]
+    report = beauville.bicanonical_report(beauville.ProductQuotientSpec(group, psi, *curves))
     result = {
-        "kind": "product-quotient",
         "group": list(group.moduli),
         "genera": list(report.genera),
-        "invariants": {"K2": report.invariants.K2, "chi": report.invariants.chi,
-                       "pg": report.invariants.pg, "q": report.invariants.q},
+        "invariants": _invariants(report.invariants),
         "free": True,
         "bidegree": list(report.bidegree),
         "eigentable": [{"character": list(e.character.coords),
                         "bidegree": list(e.bidegree), "dimension": e.dimension}
                        for e in report.entries],
         "p2": report.p2,
-        "kernel": kernel_names,
+        "kernel": [element_name(g) for g in report.kernel.elements()],
         "verdict": {"birational": report.verdict.birational,
                     "degree": report.verdict.degree},
     }
-    lines.append(f"group of order {group.order}; genera ({report.genera[0]},{report.genera[1]})")
-    lines.append("graph action: free")
-    lines.append(f"2K bidegree: ({report.bidegree[0]},{report.bidegree[1]})")
-    lines.append("eigentable {" + ",".join(str(d) for d in nonzero_dims)
-                 + "}, sum " + str(report.p2))
     if verbose:
-        for e in report.entries:
-            lines.append(f"  character {e.character.coords}: eigensheaf bidegree "
-                         f"{e.bidegree}, dimension {e.dimension}")
-    if report.verdict.birational:
-        lines.append("kernel trivial, bicanonical birational")
-    else:
-        lines.append("kernel {" + ", ".join(kernel_names) + "}, degree "
-                     + str(report.verdict.degree))
-    return result, lines
+        result["building_data"] = building_data
+    return result
+
+
+def render_product_quotient(result, verbose=False):
+    lines = []
+    if verbose:
+        for number, curve in enumerate(result["building_data"], 1):
+            lines += [f"  curve {number} branch divisor at {b['element']}: degree {b['degree']}"
+                      for b in curve["branch"]]
+            lines += _check_lines(curve["checks"], f"  curve {number} check")
+    g1, g2 = result["genera"]
+    dims = sorted((e["dimension"] for e in result["eigentable"]), reverse=True)
+    lines += [
+        f"group of order {prod(result['group'])}; genera ({g1},{g2})",
+        f"graph action: {'free' if result['free'] else 'not free'}",
+        "2K bidegree: ({},{})".format(*result["bidegree"]),
+        "eigentable {" + ",".join(str(d) for d in dims if d > 0) + f"}}, sum {result['p2']}",
+    ]
+    if verbose:
+        lines += [f"  character {tuple(e['character'])}: eigensheaf bidegree "
+                  f"{tuple(e['bidegree'])}, dimension {e['dimension']}"
+                  for e in result["eigentable"]]
+    verdict = result["verdict"]
+    lines.append("kernel trivial, bicanonical birational" if verdict["birational"]
+                 else f"kernel {_braces(result['kernel'])}, degree {verdict['degree']}")
+    return lines
 
 
 # -------------------------------------------------------------------- fermat
 
 def run_fermat(payload, verbose=False):
     report = fermat.fermat_report()
-    kernel_names = [element_name(g) for g in report.kernel.elements()]
     result = {
-        "kind": "fermat",
-        "invariants": {"K2": report.invariants.K2, "chi": report.invariants.chi,
-                       "pg": report.invariants.pg, "q": report.invariants.q},
+        "invariants": _invariants(report.invariants),
         "free": report.action_free,
         "invariant_monomials": [{"monomial": str(m),
                                  "exponents": [m.i, m.j, m.alpha, m.beta]}
@@ -406,55 +341,44 @@ def run_fermat(payload, verbose=False):
                              for name, ok in report.ratio_checks],
         "lattice_membership": [{"name": name, "contained": ok}
                                for name, ok in report.lattice_memberships],
-        "kernel": kernel_names,
+        "kernel": [element_name(g) for g in report.kernel.elements()],
         "verdict": "birational" if report.verdict.birational
                    else f"composed with subgroup of order {report.kernel.order}",
     }
-    lines = [
-        f"invariants: K²={report.invariants.K2}, χ={report.invariants.chi}, "
-        f"p_g={report.invariants.pg}, q={report.invariants.q}",
-        "graph action: free",
-        f"invariant bicanonical monomials ({len(report.monomials)}): "
-        + ", ".join(str(m) for m in report.monomials),
-        f"weight formula derivation: {'verified' if report.weight_identity else 'FAILED'}",
-    ]
-    for name, ok in report.ratio_checks:
-        lines.append(f"ratio identity {name}: {'verified' if ok else 'FAILED'}")
-    for name, ok in report.lattice_memberships:
-        lines.append(f"{name} in the invariant-ratio lattice: {str(ok).lower()}")
-    lines.append("residual kernel: "
-                 + ("trivial" if report.kernel.is_trivial()
-                    else "{" + ", ".join(kernel_names) + "}"))
-    lines.append(f"verdict: {result['verdict']}")
     if not (report.weight_identity and all(ok for _, ok in report.ratio_checks)):
-        raise ScenarioError("\n".join(lines), exit_code=2)
-    return result, lines
+        raise FailedReport(result, 2)
+    return result
+
+
+def render_fermat(result, verbose=False):
+    inv, monomials, kernel = result["invariants"], result["invariant_monomials"], result["kernel"]
+    return [
+        f"invariants: K²={inv['K2']}, χ={inv['chi']}, p_g={inv['pg']}, q={inv['q']}",
+        f"graph action: {'free' if result['free'] else 'not free'}",
+        f"invariant bicanonical monomials ({len(monomials)}): "
+        + ", ".join(m["monomial"] for m in monomials),
+        f"weight formula derivation: {'verified' if result['weight_identity'] else 'FAILED'}",
+        *(f"ratio identity {r['name']}: {'verified' if r['verified'] else 'FAILED'}"
+          for r in result["ratio_identities"]),
+        *(f"{m['name']} in the invariant-ratio lattice: {_flag(m['contained'])}"
+          for m in result["lattice_membership"]),
+        "residual kernel: " + ("trivial" if len(kernel) == 1 else _braces(kernel)),
+        f"verdict: {result['verdict']}",
+    ]
 
 
 # ---------------------------------------------------------------- proofcheck
 
 def run_proofcheck(payload, verbose=False):
     checks = payload.get("checks", ["case-table", "reider", "lemma32"])
-    result = {"kind": "proofcheck"}
-    lines = []
+    result = {}
     if "case-table" in checks:
-        records = proofcheck.run_case_table()
         result["case_table"] = [
-            {"label": r.label, "K2": r.invariants.K2, "chi": r.invariants.chi,
-             "pg": r.invariants.pg, "q": r.invariants.q,
+            {"label": r.label, **_invariants(r.invariants),
              "bound_holds": r.bound_holds, "contradiction": r.contradiction}
-            for r in records]
-        lines.append("double-cover case table:")
-        for r in records:
-            lines.append(
-                f"  {r.label}: (K²,χ,p_g,q) = {r.invariants.as_tuple()}; "
-                f"bound K²≥16(q−1): {str(r.bound_holds).lower()} "
-                f"→ {'contradiction' if r.contradiction else 'no contradiction'}")
+            for r in proofcheck.run_case_table()]
     if "reider" in checks:
-        multiples = sorted(proofcheck.reider_enumeration(9))
-        result["reider_multiples"] = multiples
-        lines.append("reider enumeration for K²=9: admissible multiples {"
-                     + ",".join(map(str, multiples)) + "}")
+        result["reider_multiples"] = sorted(proofcheck.reider_enumeration(9))
     if "lemma32" in checks:
         rep = proofcheck.lemma32_cases()
         result["rational_curve_case"] = {
@@ -463,29 +387,41 @@ def run_proofcheck(payload, verbose=False):
                        "consistent": c.consistent} for c in rep.cases],
             "excluded_negative_definite": rep.excluded_negative_definite,
         }
-        lines.append(f"pullback of the two-point line: K·L₀={rep.K_L0}, "
-                     f"L₀²={rep.L0_sq}")
-        for c in rep.cases:
-            lines.append(f"  a={c.a}: θC={c.theta_C}, C²={c.C_sq} "
-                         f"({'consistent' if c.consistent else 'INCONSISTENT'})")
+    result["ok"] = (all(r["contradiction"] for r in result.get("case_table", []))
+                    and result.get("reider_multiples", [1]) == [1]
+                    and result.get("rational_curve_case", {}).get("excluded_negative_definite", True))
+    if not result["ok"]:
+        raise FailedReport(result, 2)
+    return result
+
+
+def render_proofcheck(result, verbose=False):
+    lines = []
+    if "case_table" in result:
+        lines.append("double-cover case table:")
+        lines += [f"  {r['label']}: (K²,χ,p_g,q) = {_invariant_tuple(r)}; "
+                  f"bound K²≥16(q−1): {_flag(r['bound_holds'])} "
+                  f"→ {'contradiction' if r['contradiction'] else 'no contradiction'}"
+                  for r in result["case_table"]]
+    if "reider_multiples" in result:
+        lines.append("reider enumeration for K²=9: admissible multiples {"
+                     + ",".join(map(str, result["reider_multiples"])) + "}")
+    if "rational_curve_case" in result:
+        rep = result["rational_curve_case"]
+        lines.append(f"pullback of the two-point line: K·L₀={rep['K_L0']}, L₀²={rep['L0_sq']}")
+        lines += [f"  a={c['a']}: θC={c['theta_C']}, C²={c['C_sq']} "
+                  f"({'consistent' if c['consistent'] else 'INCONSISTENT'})"
+                  for c in rep["cases"]]
         lines.append("excluded Gram matrix negative definite: "
-                     + str(rep.excluded_negative_definite).lower())
-    all_ok = (all(r["contradiction"] for r in result.get("case_table", []))
-              and result.get("reider_multiples", [1]) == [1]
-              and result.get("rational_curve_case",
-                             {"excluded_negative_definite": True})["excluded_negative_definite"])
-    result["ok"] = all_ok
-    lines.append("proof skeleton verified" if all_ok else "PROOF SKELETON CHECK FAILED")
-    if not all_ok:
-        raise ScenarioError("\n".join(lines), exit_code=2)
-    return result, lines
+                     + _flag(rep["excluded_negative_definite"]))
+    lines.append("proof skeleton verified" if result["ok"] else "PROOF SKELETON CHECK FAILED")
+    return lines
 
 
 # -------------------------------------------------------------- double cover
 
 def run_double_cover(payload, verbose=False):
-    result = {"kind": "double-cover", "cases": []}
-    lines = []
+    cases = []
     for case in payload["cases"]:
         cover = covers.DoubleCoverInput(
             case["label"], case["chi_base"], case["pg_base"], case["K2_base"],
@@ -495,12 +431,15 @@ def run_double_cover(payload, verbose=False):
         except covers.InvalidCoverData as exc:
             raise ScenarioError(f"case {case['label']}: {exc}")
         bound = proofcheck.check_corollary(inv.K2, inv.q) if inv.q >= 0 else None
-        result["cases"].append({"label": case["label"], "K2": inv.K2, "chi": inv.chi,
-                                "pg": inv.pg, "q": inv.q, "bound_holds": bound})
-        bound_text = ("n/a (q < 0)" if bound is None
-                      else f"K²≥16(q−1): {str(bound).lower()}")
-        lines.append(f"{case['label']}: (K²,χ,p_g,q) = {inv.as_tuple()}; {bound_text}")
-    return result, lines
+        cases.append({"label": case["label"], **_invariants(inv), "bound_holds": bound})
+    return {"cases": cases}
+
+
+def render_double_cover(result, verbose=False):
+    return [f"{c['label']}: (K²,χ,p_g,q) = {_invariant_tuple(c)}; "
+            + ("n/a (q < 0)" if c["bound_holds"] is None
+               else f"K²≥16(q−1): {_flag(c['bound_holds'])}")
+            for c in result["cases"]]
 
 
 # --------------------------------------------------------------------- linsys
@@ -517,15 +456,14 @@ def _linsys_config(payload):
 def run_linsys(payload, verbose=False):
     cfg = _linsys_config(payload)
     lat = piclattice.make_blowup_lattice(cfg.n_points)
-    result = {"kind": "linsys", "systems": []}
-    lines = []
+    systems = []
     for spec in payload["systems"]:
         trace: list[str] = []
         if "class" in spec:
             cls = lat.cls(spec["class"])
             value = linsys.h0_class(cfg, cls, trace=trace)
             desc = str(cls)
-        elif "degree" in spec and "multiplicities" in spec:
+        else:  # the schema guarantees a degree with multiplicities
             mult = [0] * cfg.n_points
             for label, m in spec["multiplicities"].items():
                 try:
@@ -535,13 +473,17 @@ def run_linsys(payload, verbose=False):
             value = linsys.h0_fat_points(cfg, linsys.FatPointSystem(spec["degree"], tuple(mult)))
             desc = (f"degree {spec['degree']} with multiplicities "
                     + ",".join(map(str, mult)))
-        else:
-            raise ScenarioError("a system needs a class, or a degree with multiplicities")
-        result["systems"].append({"system": desc, "h0": value, "notes": trace})
-        lines.append(f"h⁰({desc}) = {value}")
+        systems.append({"system": desc, "h0": value, "notes": trace})
+    return {"systems": systems}
+
+
+def render_linsys(result, verbose=False):
+    lines = []
+    for s in result["systems"]:
+        lines.append(f"h⁰({s['system']}) = {s['h0']}")
         if verbose:
-            lines += [f"  note: {t}" for t in trace]
-    return result, lines
+            lines += [f"  note: {t}" for t in s["notes"]]
+    return lines
 
 
 # -------------------------------------------------------------------- lattice
@@ -551,42 +493,48 @@ def run_lattice(payload, verbose=False):
         lat = piclattice.make_quadric_lattice()
     else:
         lat = piclattice.make_blowup_lattice(payload.get("blowup_points", 6))
-    result = {"kind": "lattice", "operations": []}
-    lines = []
+    operations = []
     for op in payload["operations"]:
         kind = op["op"]
-        if kind == "intersect":
+        entry = {"op": kind}
+        if kind in ("intersect", "pullback"):
             a, b = lat.cls(op["a"]), lat.cls(op["b"])
-            value = a.dot(b)
-            desc = f"({a}) . ({b}) = {value}"
-        elif kind == "pullback":
-            a, b = lat.cls(op["a"]), lat.cls(op["b"])
-            value = piclattice.pullback_numerics(op["degree"], a, b)
-            desc = f"degree {op['degree']} pullback of ({a}) . ({b}) = {value}"
+            entry.update(a=str(a), b=str(b))
+            if kind == "intersect":
+                value = a.dot(b)
+            else:
+                entry["degree"] = op["degree"]
+                value = piclattice.pullback_numerics(op["degree"], a, b)
         elif kind == "canonical":
             value = str(piclattice.canonical_class(lat))
-            desc = f"canonical class = {value}"
         elif kind == "negative-definite":
             value = piclattice.is_negative_definite(op["gram"])
-            desc = f"negative definite: {str(value).lower()}"
-        elif kind == "divisible":
-            value = piclattice.is_divisible_by(lat.cls(op["a"]), op["k"])
-            desc = f"({lat.cls(op['a'])}) divisible by {op['k']}: {str(value).lower()}"
-        else:  # unreachable behind the schema
-            raise ScenarioError(f"unknown lattice operation {kind!r}")
-        result["operations"].append({"op": kind, "result": value})
-        lines.append(desc)
-    return result, lines
+        else:  # divisible
+            a = lat.cls(op["a"])
+            entry.update(a=str(a), k=op["k"])
+            value = piclattice.is_divisible_by(a, op["k"])
+        entry["result"] = value
+        operations.append(entry)
+    return {"operations": operations}
 
 
-RUNNERS = {
-    "z22-surface-cover": run_z22,
-    "product-quotient": run_product_quotient,
-    "fermat": run_fermat,
-    "proofcheck": run_proofcheck,
-    "double-cover": run_double_cover,
-    "linsys": run_linsys,
-    "lattice": run_lattice,
+def render_lattice(result, verbose=False):
+    lines = []
+    for e in result["operations"]:
+        value = _flag(e["result"]) if isinstance(e["result"], bool) else e["result"]
+        lines.append(_LATTICE_OPS[e["op"]][1].format(**{**e, "result": value}))
+    return lines
+
+
+# kind -> (runner returning the JSON report, renderer of its text lines)
+KINDS = {
+    "z22-surface-cover": (run_z22, render_z22),
+    "product-quotient": (run_product_quotient, render_product_quotient),
+    "fermat": (run_fermat, render_fermat),
+    "proofcheck": (run_proofcheck, render_proofcheck),
+    "double-cover": (run_double_cover, render_double_cover),
+    "linsys": (run_linsys, render_linsys),
+    "lattice": (run_lattice, render_lattice),
 }
 
 
@@ -611,22 +559,23 @@ def load_scenario(arg: str) -> dict:
 
 
 def run_scenario(payload: dict, verbose: bool = False):
+    """Run one scenario: its JSON report, and the text lines rendered from it."""
     kind = validate_payload(payload)
+    run, render = KINDS[kind]
     try:
-        result, lines = RUNNERS[kind](payload, verbose=verbose)
-    except covers.InvalidCoverData as exc:
-        raise ScenarioError(f"validation failed: {exc}", exit_code=1)
+        result = run(payload, verbose=verbose)
+    except FailedReport as exc:
+        raise ScenarioError("\n".join(render(exc.result, verbose)), exc.exit_code)
     except covers.InternalInconsistency as exc:
         raise ScenarioError(f"internal inconsistency: {exc}", exit_code=2)
-    except (piclattice.LatticeMismatch, ValueError) as exc:
+    except ValueError as exc:  # InvalidCoverData, LatticeMismatch, GroupError among them
         raise ScenarioError(f"validation failed: {exc}", exit_code=1)
+    result["kind"] = kind
     name = payload.get("name")
     if name:
         result["scenario"] = name
-        lines = [f"scenario: {name} ({kind})"] + lines
-    else:
-        lines = [f"scenario kind: {kind}"] + lines
-    return result, lines
+    head = f"scenario: {name} ({kind})" if name else f"scenario kind: {kind}"
+    return result, [head] + render(result, verbose)
 
 
 def main(argv=None) -> int:

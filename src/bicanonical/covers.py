@@ -108,12 +108,8 @@ class ValidationReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[ValidationCheck]:
-        return [c for c in self.checks if not c.passed]
-
     def first_failure(self) -> ValidationCheck | None:
-        fails = self.failures()
-        return fails[0] if fails else None
+        return next((c for c in self.checks if not c.passed), None)
 
 
 class BranchDataP1:

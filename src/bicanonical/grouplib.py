@@ -44,11 +44,14 @@ class AbelianGroup:
     def exponent(self) -> int:
         return lcm(*self.moduli)
 
-    def element(self, coords) -> "GroupElement":
-        coords = tuple(int(c) % m for c, m in zip(coords, self.moduli))
-        if len(coords) != self.rank:
+    def _reduce(self, coords) -> tuple[int, ...]:
+        """Residues of a coordinate vector, which must have one entry per factor."""
+        if len(coords) != len(self.moduli):
             raise GroupError("coordinate length does not match the group rank")
-        return GroupElement(self, coords)
+        return tuple(int(c) % m for c, m in zip(coords, self.moduli))
+
+    def element(self, coords) -> "GroupElement":
+        return GroupElement(self, self._reduce(coords))
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
@@ -62,10 +65,7 @@ class AbelianGroup:
                 for coords in itertools.product(*(range(m) for m in self.moduli))]
 
     def character(self, coords) -> "Character":
-        coords = tuple(int(c) % m for c, m in zip(coords, self.moduli))
-        if len(coords) != self.rank:
-            raise GroupError("coordinate length does not match the group rank")
-        return Character(self, coords)
+        return Character(self, self._reduce(coords))
 
     def trivial_character(self) -> "Character":
         return Character(self, (0,) * self.rank)
@@ -212,17 +212,13 @@ class Automorphism:
             self.group, [lookup[gen].coords for gen in self.group.generators()])
 
 
-def apply_automorphism(psi: Automorphism, g: GroupElement) -> GroupElement:
-    return psi(g)
-
-
 class Subgroup:
     """Subgroup (of a group or of its character group) with exhaustive closure."""
 
-    def __init__(self, group: AbelianGroup, generators=(), dual: bool = False):
+    def __init__(self, group: AbelianGroup, generators=()):
         generators = list(generators)
+        dual = bool(generators) and isinstance(generators[0], Character)
         if generators:
-            dual = isinstance(generators[0], Character)
             if any(isinstance(g, Character) != dual for g in generators):
                 raise GroupError("cannot mix elements and characters")
             if any(g.group != group for g in generators):
@@ -249,9 +245,6 @@ class Subgroup:
 
     def __contains__(self, item) -> bool:
         return item in self.members
-
-    def __iter__(self):
-        return iter(self.elements())
 
     def elements(self) -> list:
         return sorted(self.members, key=lambda g: g.coords)

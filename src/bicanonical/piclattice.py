@@ -124,10 +124,6 @@ class DivisorClass:
         return " ".join(parts) if parts else "0"
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> int:
-    return a.dot(b)
-
-
 def canonical_class(lattice: Lattice) -> DivisorClass:
     """K = -3l + sum(e_i) on a blowup, (-2, -2) on the quadric."""
     if lattice.kind == "blowup":

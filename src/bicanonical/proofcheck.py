@@ -180,7 +180,6 @@ class RationalCurveReport:
     cases: tuple[StrictTransformCase, ...]
     excluded_gram: tuple[tuple[int, ...], ...]
     excluded_negative_definite: bool
-    h11: int
 
 
 def lemma32_cases() -> RationalCurveReport:
@@ -206,5 +205,4 @@ def lemma32_cases() -> RationalCurveReport:
         divisible_by_two=num["L0_sq"] % 4 == 0,  # L0 = 2(K - L), so L0^2 = 4(K-L)^2
         cases=tuple(cases),
         excluded_gram=gram,
-        excluded_negative_definite=is_negative_definite(gram),
-        h11=3)
+        excluded_negative_definite=is_negative_definite(gram))

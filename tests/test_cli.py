@@ -1,4 +1,8 @@
 import json
+from pathlib import Path
+
+import jsonschema
+import pytest
 
 from bicanonical import cli
 
@@ -235,3 +239,86 @@ def test_verbose_adds_detail(capsys):
     assert code == code2 == 0
     assert len(verbose.splitlines()) > len(terse.splitlines())
     assert "character" in verbose
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("flags", [(), ("--verbose",)], ids=["plain", "verbose"])
+@pytest.mark.parametrize("name", cli.BUILTIN_ORDER)
+def test_builtin_text_matches_golden(capsys, name, flags):
+    code, out = run_cli(capsys, "run", name, *flags)
+    assert code == 0
+    suffix = ".verbose" if flags else ""
+    assert out == (GOLDEN / f"{name}{suffix}.txt").read_text(encoding="utf-8")
+
+
+def test_schemas_are_valid_and_cover_every_kind():
+    for schema in cli.SCHEMAS.values():
+        jsonschema.Draft202012Validator.check_schema(schema)
+    assert set(cli.SCHEMAS) == set(cli.KINDS)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda p: p.update(automorphism=[[1, 0, 1, 1, 1], [0, 1, 1], [1, 1, 1]]),
+     "coordinate length does not match the group rank"),
+    (lambda p: p["curve1"]["branch"][0].update(element=[1, 0, 0, 1]),
+     "coordinate length does not match the group rank"),
+    (lambda p: p.update(automorphism=p["automorphism"][:2]),
+     "need exactly one image per generator"),
+], ids=["long-image", "long-element", "short-automorphism"])
+def test_mis_sized_group_vectors_fail_validation(tmp_path, capsys, mutate, message):
+    payload = builtin_payload("beauville8")
+    mutate(payload)
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert message in out
+
+
+@pytest.mark.parametrize("op", [
+    {"op": "intersect", "a": {"l": 1}},
+    {"op": "pullback", "a": {"l": 1}, "b": {"l": 1}},
+    {"op": "negative-definite"},
+    {"op": "divisible", "a": {"l": 2}},
+    {"op": "divisible", "k": 2},
+], ids=["intersect-b", "pullback-degree", "negative-definite-gram", "divisible-k", "divisible-a"])
+def test_lattice_operation_missing_a_field_names_its_path(tmp_path, capsys, op):
+    payload = {"kind": "lattice", "operations": [{"op": "canonical"}, op]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert out.startswith("error: $.operations[1]")
+
+
+def test_linsys_system_without_class_or_degree_names_its_path(tmp_path, capsys):
+    payload = {"kind": "linsys", "systems": [{"degree": 2, "multiplicities": {}},
+                                             {"degree": 3}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert out.startswith("error: $.systems[1]")
+
+
+def test_lattice_json_carries_the_operands_of_its_text(tmp_path, capsys):
+    payload = {"kind": "lattice", "operations": [
+        {"op": "pullback", "degree": 4, "a": {"l": 1}, "b": {"l": 1, "e1": -1}},
+        {"op": "divisible", "a": {"l": 10, "e1": -2}, "k": 2}]}
+    path = write_scenario(tmp_path, payload)
+    code, out = run_cli(capsys, "run", path, "--json")
+    assert code == 0
+    assert json.loads(out)["operations"] == [
+        {"op": "pullback", "degree": 4, "a": "l", "b": "l - e1", "result": 4},
+        {"op": "divisible", "a": "10l - 2e1", "k": 2, "result": True}]
+    code, text = run_cli(capsys, "run", path)
+    assert text.splitlines()[1:] == ["degree 4 pullback of (l) . (l - e1) = 4",
+                                     "(10l - 2e1) divisible by 2: true"]
+
+
+def test_verbose_adds_the_same_detail_to_json(capsys):
+    code, terse = run_cli(capsys, "run", "beauville8", "--json")
+    code2, verbose = run_cli(capsys, "run", "beauville8", "--json", "--verbose")
+    assert code == code2 == 0
+    terse, verbose = json.loads(terse), json.loads(verbose)
+    assert "building_data" not in terse
+    curve2 = verbose.pop("building_data")[1]
+    assert verbose == terse
+    assert {"element": [1, 1, 0], "degree": 1} in curve2["branch"]
+    assert all(check["passed"] for check in curve2["checks"])

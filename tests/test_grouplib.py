@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicanonical.grouplib import (Automorphism, GroupError, Subgroup,
-                                  apply_automorphism, common_kernel, element_name,
+                                  common_kernel, element_name,
                                   graph_subgroup, make_group, orthogonal_complement,
                                   pair_elements, split_element)
 
@@ -30,6 +30,15 @@ def test_element_arithmetic_and_order():
     assert G.zero().order() == 1
 
 
+@pytest.mark.parametrize("coords", [[1, 0, 0, 1], [1, 0]])
+def test_coordinate_vectors_of_the_wrong_length_are_rejected(coords):
+    G = make_group([2, 2, 2])
+    with pytest.raises(GroupError, match="coordinate length"):
+        G.element(coords)
+    with pytest.raises(GroupError, match="coordinate length"):
+        G.character(coords)
+
+
 def test_mixing_groups_is_an_error():
     G, H = make_group([2, 2]), make_group([2, 2, 2])
     with pytest.raises(GroupError):
@@ -39,7 +48,7 @@ def test_mixing_groups_is_an_error():
 def test_automorphism_application_examples():
     G = make_group([2, 2, 2])
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    assert apply_automorphism(psi, G.element([0, 0, 1])).coords == (1, 1, 1)
+    assert psi(G.element([0, 0, 1])).coords == (1, 1, 1)
     ident = Automorphism.identity(G)
     for g in G.elements():
         assert ident(g) == g

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from bicanonical.exactlinalg import leading_principal_minors
 from bicanonical.piclattice import (Lattice, LatticeMismatch,
-                                    canonical_class, intersect, is_divisible_by,
+                                    canonical_class, is_divisible_by,
                                     is_negative_definite, make_blowup_lattice,
                                     make_quadric_lattice, pullback_numerics,
                                     quadrilateral_catalog)

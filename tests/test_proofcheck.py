@@ -67,4 +67,3 @@ def test_lemma32_report():
     assert (by_a[2].theta_C, by_a[2].C_sq) == (4, -12)
     assert all(c.consistent for c in report.cases)
     assert report.excluded_negative_definite
-    assert report.h11 == 3
