@@ -102,7 +102,9 @@ _KIND_FIELDS = {
             {"degree": _NATURAL,
              "multiplicities": {"type": "object", "additionalProperties": _NATURAL},
              "class": _COEFF_MAP},
-            anyOf=[{"required": ["class"]}, {"required": ["degree", "multiplicities"]}])},
+            # a class, or a degree with multiplicities, never both
+            oneOf=[{"required": ["class"]}, {"required": ["degree", "multiplicities"]}],
+            dependentRequired={"degree": ["multiplicities"], "multiplicities": ["degree"]})},
     }),
     "lattice": (["operations"], {
         "blowup_points": _NATURAL,

@@ -1,25 +1,28 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything downstream (interpolation ranks, definiteness tests, function-field
-lattice membership) reduces to three primitives: rank over Q by fraction-free
-elimination, integer determinants, and membership of a vector in the Z-span of
-a set of integer rows.  No floating point anywhere.
+lattice membership) reduces to three primitives: rank over Q by gcd-normalised
+integer elimination, integer determinants, and membership of a vector in the
+Z-span of a set of integer rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _clear_denominators(rows):
     """Scale each row to integers (row scaling does not change the rank)."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         denom = 1
         for x in row:
             if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
+                denom = lcm(denom, x.denominator)
         out.append([int(x * denom) for x in row])
     return out
 
@@ -27,30 +30,32 @@ def _clear_denominators(rows):
 def exact_rank(rows) -> int:
     """Rank over Q of a matrix with integer or Fraction entries.
 
-    Uses one-step fraction-free (Bareiss) elimination with column pivoting,
-    so all intermediate values stay integral.
+    Integer elimination: a nonzero row becomes the pivot, and every other
+    row that is nonzero in the pivot's first nonzero column becomes
+    p*row - a*pivot, divided by its gcd (dropped when it is zero).  Rows
+    already zero in that column are left alone.  The rank is the number of
+    pivots.
     """
-    mat = _clear_denominators(rows)
-    mat = [row for row in mat if row]
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, n_rows) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        for r in range(row + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                mat[r][c] = (mat[r][c] * mat[row][col] - mat[r][col] * mat[row][c]) // prev
-            mat[r][col] = 0
-        prev = mat[row][col]
-        row += 1
-        if row == n_rows:
-            break
-    return row
+    work = [row for row in _clear_denominators(rows) if any(row)]
+    rank = 0
+    while work:
+        pivot = work.pop()
+        col = next(c for c, v in enumerate(pivot) if v)
+        p = pivot[col]
+        rank += 1
+        rest = []
+        for row in work:
+            a = row[col]
+            if a:
+                row = [p * u - a * v for u, v in zip(row, pivot)]
+                g = gcd(*row)
+                if g == 0:
+                    continue
+                if g > 1:
+                    row = [u // g for u in row]
+            rest.append(row)
+        work = rest
+    return rank
 
 
 def integer_det(matrix) -> int:

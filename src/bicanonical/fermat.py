@@ -96,10 +96,9 @@ def verify_weight_derivation() -> bool:
     """Check, exhaustively over all residues mod 5, that the closed weight
     formula agrees with the factorwise action of (g, psi(g))."""
     psi = fermat_psi()
+    image = {g.coords: psi(g).coords for g in FERMAT_GROUP.elements()}
     for a, b, i, j, alpha, beta in itertools.product(range(5), repeat=6):
-        g = FERMAT_GROUP.element((a, b))
-        image = psi(g)
-        direct = product_action_weight(g.coords, image.coords, i, j, alpha, beta)
+        direct = product_action_weight((a, b), image[a, b], i, j, alpha, beta)
         closed = (a * (2 + i + alpha - beta) + b * (3 + j + alpha + 2 * beta)) % 5
         if direct != closed:
             return False

@@ -4,22 +4,27 @@ multiplicities.
 h^0 of a class d*l - sum(m_i e_i) on the blowup of P^2 equals the dimension of
 the space of degree-d forms vanishing to order m_i at the corresponding
 points.  That dimension is (d+1)(d+2)/2 minus the rank of the interpolation
-matrix whose rows are all partial-derivative conditions of order < m_i at
-P_i, and the rank is computed exactly over the rationals.  On special point
-configurations (such as the complete quadrilateral) this rank drops below the
-generic count, which is precisely the phenomenon the computations here need
-to capture; no genericity assumption is ever made.
+matrix whose rows are the partial derivatives of order t_i = min(m_i - 1, d)
+at P_i.  By Euler's relation e*G = sum x_j dG/dx_j for a form G of degree
+e >= 1, the vanishing of every order-t partial at P forces the vanishing of
+every lower one, so these rows cut out the same space as all partials of
+order < m_i; for m_i - 1 > d the order-d partials are multiples of the
+coefficients and already force F = 0.  Each point is scaled to coprime
+integer coordinates, so the rows are integers, and the rank is computed
+exactly.  On special point configurations (such as the complete
+quadrilateral) this rank drops below the generic count, which is precisely
+the phenomenon the computations here need to capture; no genericity
+assumption is ever made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, perm
 
 from .exactlinalg import exact_rank
 from .piclattice import DivisorClass
-
-Coord = Fraction
 
 
 def _to_fraction(x) -> Fraction:
@@ -121,34 +126,41 @@ def _monomials(d: int) -> list[tuple[int, int, int]]:
     return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
 
 
-def _falling(base: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= base - t
-    return out
+def _integer_coords(point: ProjectivePoint) -> tuple[int, int, int]:
+    """The point's coordinates scaled to coprime integers."""
+    denom = lcm(*(c.denominator for c in point.coords))
+    ints = [c.numerator * (denom // c.denominator) for c in point.coords]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
-def _derivative_row(mono, order, point) -> Fraction | int:
-    """Value at `point` of the (dx,dy,dz) partial derivative of x^a y^b z^c."""
-    (a, b, c), (dx, dy, dz) = mono, order
-    if a < dx or b < dy or c < dz:
-        return 0
-    coef = _falling(a, dx) * _falling(b, dy) * _falling(c, dz)
-    x, y, z = point.coords
-    return coef * x ** (a - dx) * y ** (b - dy) * z ** (c - dz)
+def _partial_tables(value: int, d: int, t: int) -> list[list[int]]:
+    """table[k][a] = the k-th derivative of v^a at v = value, for a <= d, k <= t."""
+    powers = [value ** e for e in range(d + 1)]
+    return [[perm(a, k) * powers[a - k] if a >= k else 0 for a in range(d + 1)]
+            for k in range(t + 1)]
 
 
-def interpolation_matrix(cfg: PointConfig, system: FatPointSystem) -> list[list]:
-    """One row per vanishing condition, one column per degree-d monomial."""
-    monos = _monomials(system.degree)
+def interpolation_matrix(cfg: PointConfig, system: FatPointSystem) -> list[list[int]]:
+    """One integer row per vanishing condition, one column per degree-d
+    monomial.
+
+    A point of multiplicity m > 0 gives its partials of order min(m - 1, d)
+    at its coprime integer coordinates (the lower orders follow, see the
+    module docstring); a point of multiplicity 0 gives none.
+    """
+    d = system.degree
+    monos = _monomials(d)
     rows = []
     for idx, m in enumerate(system.multiplicities):
-        point = cfg.points[idx]
-        for total in range(m):
-            for dx in range(total, -1, -1):
-                for dy in range(total - dx, -1, -1):
-                    dz = total - dx - dy
-                    rows.append([_derivative_row(mono, (dx, dy, dz), point) for mono in monos])
+        if m == 0:
+            continue
+        t = min(m - 1, d)
+        x, y, z = (_partial_tables(v, d, t) for v in _integer_coords(cfg.points[idx]))
+        for dx in range(t, -1, -1):
+            for dy in range(t - dx, -1, -1):
+                px, py, pz = x[dx], y[dy], z[t - dx - dy]
+                rows.append([px[a] * py[b] * pz[c] for a, b, c in monos])
     return rows
 
 

@@ -297,6 +297,20 @@ def test_linsys_system_without_class_or_degree_names_its_path(tmp_path, capsys):
     assert out.startswith("error: $.systems[1]")
 
 
+@pytest.mark.parametrize("extra", [
+    {"degree": 5, "multiplicities": {"P1": 3}},
+    {"degree": 5},
+    {"multiplicities": {"P1": 3}},
+], ids=["degree-and-multiplicities", "degree", "multiplicities"])
+def test_linsys_system_with_class_and_degree_data_names_its_path(tmp_path, capsys, extra):
+    # the degree data would be silently dropped in favour of the class
+    payload = {"kind": "linsys", "systems": [{"degree": 2, "multiplicities": {}},
+                                             {"class": {"l": 2}, **extra}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert out.startswith("error: $.systems[1]")
+
+
 def test_lattice_json_carries_the_operands_of_its_text(tmp_path, capsys):
     payload = {"kind": "lattice", "operations": [
         {"op": "pullback", "degree": 4, "a": {"l": 1}, "b": {"l": 1, "e1": -1}},

@@ -49,10 +49,11 @@ def permutation_det(matrix):
     return total
 
 
-matrix_strategy = st.integers(1, 5).flatmap(
+_entry = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
+matrix_strategy = st.integers(1, 6).flatmap(
     lambda cols: st.lists(
-        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
-        min_size=1, max_size=5))
+        st.one_of(st.lists(_entry, min_size=cols, max_size=cols), st.just([0] * cols)),
+        min_size=1, max_size=7))
 
 
 @given(matrix_strategy)

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 
 from bicanonical.linsys import (FatPointSystem, PointConfig, ProjectivePoint,
                                 apply_projectivity, collinear, h0_class,
-                                h0_fat_points, quadrilateral_config)
+                                h0_fat_points, interpolation_matrix,
+                                quadrilateral_config)
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
 
 
@@ -174,3 +177,95 @@ def test_system_validation():
         FatPointSystem(-1, ())
     with pytest.raises(ValueError):
         FatPointSystem(2, (1, -1))
+
+
+def oracle_h0(cfg, system):
+    """Independent route: every Fraction partial of order < m_i at P_i,
+    ranked by plain Gaussian elimination over Fraction."""
+    d = system.degree
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    rows = []
+    for point, m in zip(cfg.points, system.multiplicities):
+        x, y, z = point.coords
+        for order in range(m):
+            for dx in range(order + 1):
+                for dy in range(order + 1 - dx):
+                    dz = order - dx - dy
+                    rows.append([
+                        Fraction(perm(a, dx) * perm(b, dy) * perm(c, dz))
+                        * x ** (a - dx) * y ** (b - dy) * z ** (c - dz)
+                        if a >= dx and b >= dy and c >= dz else Fraction(0)
+                        for a, b, c in monos])
+    rank = 0
+    for col in range(len(monos)):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            if factor:
+                rows[r] = [u - factor * v for u, v in zip(rows[r], rows[rank])]
+        rank += 1
+    return len(monos) - rank
+
+
+_coordinate = st.one_of(st.just(0), st.integers(-3, 3),
+                        st.fractions(-3, 3, max_denominator=7))
+_point = st.tuples(_coordinate, _coordinate, _coordinate).filter(any)
+_nonzero = st.fractions(-3, 3, max_denominator=5).filter(bool)
+
+
+@st.composite
+def fat_point_cases(draw):
+    """A configuration of 1-4 distinct points, sometimes with a forced
+    collinear triple, and a system with d in 0..8 and m in 0..5, where
+    m = d + 1 and m = d + 2 are drawn often."""
+    coords = draw(st.lists(_point, min_size=1, max_size=4))
+    if len(coords) >= 3 and draw(st.booleans()):
+        lam, mu = draw(st.tuples(_nonzero, _nonzero))
+        coords[2] = tuple(lam * p + mu * q for p, q in zip(coords[0], coords[1]))
+    points = []
+    for c in filter(any, coords):
+        point = ProjectivePoint.of(*c)
+        if not any(point.same_point(q) for q in points):
+            points.append(point)
+    cfg = PointConfig(tuple(points), tuple(f"P{i}" for i in range(len(points))))
+    d = draw(st.integers(0, 8))
+    near = sorted({min(d + 1, 5), min(d + 2, 5)})
+    mult = draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(near)),
+                         min_size=cfg.n_points, max_size=cfg.n_points))
+    return cfg, FatPointSystem(d, tuple(mult))
+
+
+@given(fat_point_cases())
+@settings(max_examples=80, deadline=None)
+def test_h0_matches_the_full_fraction_matrix(case):
+    cfg, system = case
+    assert h0_fat_points(cfg, system) == oracle_h0(cfg, system)
+
+
+def test_oracle_sees_the_special_position(cfg):
+    # the quartic system of the quadrilateral exceeds its generic count
+    assert oracle_h0(cfg, FatPointSystem(4, (2, 2, 2, 1, 2, 2))) == 1
+    assert oracle_h0(cfg, FatPointSystem(5, (1, 2, 1, 2, 2, 2))) == 7
+
+
+def _row_bound(system):
+    ts = [min(m - 1, system.degree) for m in system.multiplicities if m > 0]
+    return sum((t + 1) * (t + 2) // 2 for t in ts)
+
+
+@given(st.integers(0, 10), st.lists(st.integers(0, 12), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_interpolation_rows_are_the_top_order_partials(d, mult):
+    system = FatPointSystem(d, tuple(mult))
+    rows = interpolation_matrix(quadrilateral_config(), system)
+    assert len(rows) == _row_bound(system)
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_multiplicity_far_above_the_degree(cfg):
+    system = FatPointSystem(5, (40, 0, 0, 0, 0, 0))
+    assert len(interpolation_matrix(cfg, system)) == 21
+    assert h0_fat_points(cfg, system) == 0
