@@ -19,7 +19,7 @@ from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      genus_from_eigensheaves, make_verdict, rh_genus,
                      validate_building_data)
 from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
-                       common_kernel, graph_subgroup, orthogonal_complement, pair_elements,
+                       common_kernel, graph_subgroup, orthogonal_complement,
                        split_character, split_element)
 
 
@@ -92,17 +92,16 @@ def quotient_iso(psi: Automorphism):
     return iso
 
 
-def induced_character(chi_pair: Character, psi: Automorphism) -> Character:
+def induced_character(chi_pair: Character, graph: Subgroup) -> Character:
     """The character of G = (G x G)/Gamma determined by a character of G x G
-    that is trivial on the graph of psi.
+    that is trivial on Gamma, the graph of psi (see graph_subgroup).
 
     Evaluating on the coset representative (0, g) gives the second-component
     character; triviality on the graph makes this independent of the chosen
-    representative.
+    representative.  Triviality is checked on the graph's generators.
     """
-    group = psi.group
-    for gen in group.generators():
-        if chi_pair.pairing(pair_elements(gen, psi(gen))) != 0:
+    for gen in graph.generators:
+        if chi_pair.pairing(gen) != 0:
             raise InvalidCoverData(
                 "character does not vanish on the graph, so it does not descend")
     _, chi2 = split_character(chi_pair)
@@ -165,7 +164,8 @@ def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
         if genus_from_eigensheaves(table) != g:
             raise InternalInconsistency("eigensheaf table disagrees with Riemann-Hurwitz")
 
-    gamma_perp = orthogonal_complement(graph_subgroup(spec.psi))
+    graph = graph_subgroup(spec.psi)
+    gamma_perp = orthogonal_complement(graph)
     entries = []
     for chi_pair in gamma_perp.elements():
         chi1, chi2 = split_character(chi_pair)
@@ -179,7 +179,7 @@ def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
             f"eigentable sums to {p2}, expected K^2 + chi = "
             f"{invariants.K2 + invariants.chi}")
 
-    contributing = [induced_character(e.character, spec.psi)
+    contributing = [induced_character(e.character, graph)
                     for e in entries if e.dimension > 0]
     kernel = common_kernel(contributing, spec.group)
     return BicanonicalReport((g1, g2), invariants, bidegree, entries, p2,

@@ -21,7 +21,7 @@ from math import prod
 import jsonschema
 
 from . import beauville, covers, fermat, linsys, piclattice, proofcheck
-from .grouplib import Automorphism, element_name, make_group
+from .grouplib import MAX_GROUP_ORDER, Automorphism, element_name, make_group
 
 BUILTIN_ORDER = ("inoue7", "beauville8", "inoue-z24", "fermat-z52", "proofcheck-all")
 
@@ -266,6 +266,10 @@ def _build_curve(group, spec):
 
 
 def run_product_quotient(payload, verbose=False):
+    order = prod(payload["group"])
+    if order > MAX_GROUP_ORDER:
+        raise ScenarioError(
+            f"$.group: group order {order} exceeds the limit of {MAX_GROUP_ORDER}")
     group = make_group(payload["group"])
     psi = Automorphism.from_images(group, payload["automorphism"])
     curves = [_build_curve(group, payload["curve1"]), _build_curve(group, payload["curve2"])]

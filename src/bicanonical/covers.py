@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .grouplib import AbelianGroup, Character, GroupElement, Subgroup, common_kernel
 from .piclattice import DivisorClass, Lattice, canonical_class
@@ -246,11 +247,15 @@ class EigensheafTable:
     group: AbelianGroup
     degrees: tuple[tuple[Character, int], ...]
 
+    @cached_property
+    def _by_character(self) -> dict[Character, int]:
+        return dict(self.degrees)
+
     def degree(self, chi: Character) -> int:
-        for c, d in self.degrees:
-            if c == chi:
-                return d
-        raise KeyError(f"character {chi.coords} is not in the table")
+        try:
+            return self._by_character[chi]
+        except KeyError:
+            raise KeyError(f"character {chi.coords} is not in the table") from None
 
     def degree_list(self) -> list[int]:
         return [d for _, d in self.degrees]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, perm
 
 from .exactlinalg import exact_rank
@@ -97,9 +98,11 @@ class PointConfig:
         return collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1])
 
 
+@cache
 def quadrilateral_config() -> PointConfig:
     """The six special points of a complete quadrilateral: vertices P1..P4 and
-    the two extra diagonal points P5 = P1P2 ^ P3P4, P6 = P1P4 ^ P2P3."""
+    the two extra diagonal points P5 = P1P2 ^ P3P4, P6 = P1P4 ^ P2P3.  Built
+    and verified once; the configuration is frozen, so every caller shares it."""
     pts = (ProjectivePoint.of(1, 0, 0), ProjectivePoint.of(0, 1, 0),
            ProjectivePoint.of(0, 0, 1), ProjectivePoint.of(1, 1, 1),
            ProjectivePoint.of(1, 1, 0), ProjectivePoint.of(0, 1, 1))

@@ -259,6 +259,31 @@ def test_schemas_are_valid_and_cover_every_kind():
     assert set(cli.SCHEMAS) == set(cli.KINDS)
 
 
+def _cyclic_pq_payload(group):
+    return {"kind": "product-quotient", "group": group, "automorphism": [[1, 0], [0, 1]],
+            "curve1": {"branch": [{"element": [1, 0], "degree": 2}], "line_bundles": [1, 0]},
+            "curve2": {"branch": [{"element": [0, 1], "degree": 2}], "line_bundles": [0, 1]}}
+
+
+def test_product_quotient_group_order_is_capped(tmp_path, capsys, monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("the cap must stop the scenario before any automorphism")
+
+    monkeypatch.setattr(cli.Automorphism, "from_images", no_enumeration)
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, _cyclic_pq_payload([26, 25])))
+    assert code == 1
+    assert out.startswith("error: $.group: group order 650 exceeds the limit of 625")
+
+
+def test_product_quotient_at_the_cap_runs_past_it(tmp_path, capsys):
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, _cyclic_pq_payload([25, 25])))
+    # the whole group of order 625 is enumerated; the scenario then fails on
+    # its order-25 inertia, well after the cap
+    assert code == 1
+    assert "$.group" not in out
+    assert "bidegree formula requires all inertia groups of order 2" in out
+
+
 @pytest.mark.parametrize("mutate, message", [
     (lambda p: p.update(automorphism=[[1, 0, 1, 1, 1], [0, 1, 1], [1, 1, 1]]),
      "coordinate length does not match the group rank"),

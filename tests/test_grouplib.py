@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from bicanonical.grouplib import (Automorphism, GroupError, Subgroup,
                                   common_kernel, element_name,
                                   graph_subgroup, make_group, orthogonal_complement,
-                                  pair_elements, split_element)
+                                  pair_elements, split_character, split_element)
 
 
 def test_make_group_orders():
@@ -175,6 +175,12 @@ def test_pair_and_split_roundtrip():
     G = make_group([2, 2, 2])
     a, b = G.element([1, 0, 1]), G.element([0, 1, 1])
     assert split_element(pair_elements(a, b)) == (a, b)
+    assert split_character(G.square().character([1, 0, 1, 0, 1, 1])) == (
+        G.character([1, 0, 1]), G.character([0, 1, 1]))
+    # only a group G x G splits
+    for moduli in ([2, 4], [2, 2, 2], [2]):
+        with pytest.raises(GroupError, match="not a product group"):
+            split_element(make_group(moduli).zero())
 
 
 def test_element_names():
@@ -184,3 +190,75 @@ def test_element_names():
     assert element_name(G.element([1, 0, 1])) == "γ₁+γ₃"
     G55 = make_group([5, 5])
     assert element_name(G55.element([2, 1])) == "2γ₁+γ₂"
+
+
+# Test-local oracle: the exhaustive routes the generator-based arithmetic
+# replaced.  Saturation adds +gen and -gen to every member until nothing new
+# appears; the complement pairs every character with every member; the kernel
+# pairs every element with every character.
+
+def _saturate(group, gens, dual):
+    zero = group.trivial_character() if dual else group.zero()
+    members, frontier = {zero}, [zero]
+    while frontier:
+        current = frontier.pop()
+        for gen in gens:
+            for step in (gen, -gen):
+                nxt = current + step
+                if nxt not in members:
+                    members.add(nxt)
+                    frontier.append(nxt)
+    return frozenset(members)
+
+
+def _scan_complement(group, members):
+    return frozenset(chi for chi in group.characters()
+                     if all(chi.annihilates(g) for g in members))
+
+
+def _scan_kernel(group, chars):
+    return frozenset(g for g in group.elements()
+                     if all(chi.annihilates(g) for chi in chars))
+
+
+@st.composite
+def _group_and_generators(draw):
+    """A group of rank 1-3 with moduli 2-6 and a generator list padded with
+    zeros, duplicates and sums of earlier generators, in a drawn order."""
+    moduli = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    vector = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+    gens = draw(st.lists(vector, max_size=4))
+    for extra in draw(st.lists(st.sampled_from(["zero", "duplicate", "sum"]), max_size=3)):
+        if extra == "zero" or not gens:
+            gens.append((0,) * len(moduli))
+        elif extra == "duplicate":
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            gens.append(tuple((x + y) % m for x, y, m in zip(a, b, moduli)))
+    return make_group(moduli), draw(st.permutations(gens))
+
+
+@given(_group_and_generators())
+@settings(max_examples=150, deadline=None)
+def test_generator_arithmetic_matches_exhaustive_saturation(case):
+    G, vectors = case
+    elements = [G.element(v) for v in vectors]
+    sub = Subgroup(G, elements)
+    assert sub.members == _saturate(G, elements, dual=False)
+    perp = orthogonal_complement(sub)
+    assert perp.dual and perp.members == _scan_complement(G, sub.members)
+    assert sub.order * perp.order == G.order
+    assert common_kernel(perp.members, G) == sub
+
+    # with no generators a Subgroup is one of elements, so the dual side
+    # starts from the trivial character
+    chars = [G.character(v) for v in vectors] or [G.trivial_character()]
+    span = Subgroup(G, chars)
+    assert span.members == _saturate(G, chars, dual=True)
+    kernel = common_kernel(chars, G)
+    assert kernel.members == _scan_kernel(G, chars)
+    assert kernel.order * span.order == G.order
+    assert orthogonal_complement(kernel) == span
+    for chi in chars[:2]:
+        assert chi.kernel().members == _scan_kernel(G, [chi])

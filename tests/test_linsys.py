@@ -32,6 +32,13 @@ def test_quadrilateral_incidences(cfg):
     assert not cfg.point_collinear(1, 2, 3)
 
 
+def test_quadrilateral_config_is_built_once(cfg, lat):
+    assert quadrilateral_config() is quadrilateral_config() is cfg
+    # the shared configuration still gives the inoue7 and quadrilateral values
+    assert h0_class(cfg, lat.cls((9, -3, -4, -3, -4, -4, -4))) == 7
+    assert h0_fat_points(cfg, FatPointSystem(5, (1, 2, 1, 2, 2, 2))) == 7
+
+
 def test_incidence_assertions_are_verified():
     pts = (ProjectivePoint.of(1, 0, 0), ProjectivePoint.of(0, 1, 0),
            ProjectivePoint.of(0, 0, 1))
