@@ -140,12 +140,8 @@ class BicanonicalReport:
 
 
 def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
-    for name, data in (("first", spec.branch1), ("second", spec.branch2)):
-        report = validate_building_data(data)
-        if not report.ok:
-            fail = report.first_failure()
-            raise InvalidCoverData(
-                f"{name} curve building data invalid: {fail.name} ({fail.detail})")
+    for number, data in enumerate((spec.branch1, spec.branch2), 1):
+        validate_building_data(data).require(f"curve {number}")
 
     g1, g2 = rh_genus(spec.branch1), rh_genus(spec.branch2)
     invariants = beauville_invariants(g1, g2, spec.group.order)

@@ -4,19 +4,27 @@ Scenarios are JSON files describing one computation each; `run` executes a
 scenario (by path, or by the name of a bundled one) and prints a
 human-readable report, or the same data as JSON with --json.  Each runner
 builds only the JSON report; the text report is rendered from it, so the two
-views cannot disagree.  Exit codes: 0 success, 1 malformed input or failed
-validation, 2 internal inconsistency (a consistency identity such as the
-eigentable sum failed).
+views cannot disagree.
+
+Exit codes are chosen in run_scenario alone.  0: success.  1: bad input,
+either a ScenarioError for what the command line checks itself (file, JSON,
+schema, kind, group order, branch entries, unknown names) or a ValueError
+from the library (InvalidCoverData, GroupError, LatticeMismatch, the linsys
+size caps); invalid building data reads "<what> building data invalid,
+failed relation: <name> (<detail>)".  2: a failed consistency identity,
+raised as covers.InternalInconsistency or as a FailedReport carrying the
+partial report that is printed.  Anything else is a bug and keeps its
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from math import prod
+from pathlib import Path
 
 import jsonschema
 
@@ -27,17 +35,17 @@ BUILTIN_ORDER = ("inoue7", "beauville8", "inoue-z24", "fermat-z52", "proofcheck-
 
 
 class ScenarioError(Exception):
+    """A rejected scenario and its exit code: raised directly only for what the
+    command line checks itself, and by run_scenario for every library error."""
+
     def __init__(self, message: str, exit_code: int = 1):
         super().__init__(message)
         self.exit_code = exit_code
 
 
 class FailedReport(Exception):
-    """A report whose own checks failed; its partial result becomes the error text."""
-
-    def __init__(self, result: dict, exit_code: int):
-        super().__init__(result, exit_code)
-        self.result, self.exit_code = result, exit_code
+    """Raised with a report whose own identities failed (args[0]); that
+    partial report becomes the error text."""
 
 
 def _closed(properties, required=(), **extra):
@@ -95,7 +103,7 @@ _KIND_FIELDS = {
     }),
     "linsys": (["systems"], {
         "configuration": {"const": "quadrilateral"},
-        "points": {"type": "array", "minItems": 1, "items": {
+        "points": {"type": "array", "minItems": 1, "maxItems": 10, "items": {
             "type": "array", "items": {"oneOf": [_INT, _STRING]}, "minItems": 3, "maxItems": 3}},
         "labels": {"type": "array", "items": _STRING},
         "systems": {"type": "array", "minItems": 1, "items": _closed(
@@ -107,7 +115,7 @@ _KIND_FIELDS = {
             dependentRequired={"degree": ["multiplicities"], "multiplicities": ["degree"]})},
     }),
     "lattice": (["operations"], {
-        "blowup_points": _NATURAL,
+        "blowup_points": {"type": "integer", "minimum": 0, "maximum": 100},
         "lattice": {"const": "quadric"},
         "operations": {"type": "array", "minItems": 1, "items": _closed(
             {"op": {"enum": list(_LATTICE_OPS)},
@@ -115,7 +123,8 @@ _KIND_FIELDS = {
              "b": _COEFF_MAP,
              "degree": {"type": "integer", "minimum": 1},
              "k": {"type": "integer", "minimum": 2},
-             "gram": {"type": "array", "items": {"type": "array", "items": _INT}}},
+             "gram": {"type": "array", "maxItems": 20,
+                      "items": {"type": "array", "items": _INT, "maxItems": 20}}},
             ["op"],
             allOf=[{"if": {"properties": {"op": {"const": op}}}, "then": {"required": fields}}
                    for op, (fields, _) in _LATTICE_OPS.items() if fields])},
@@ -127,16 +136,20 @@ SCHEMAS = {
                   ["kind", *required])
     for kind, (required, fields) in _KIND_FIELDS.items()
 }
+# Draft 2020-12 counts 2.0 as an integer, which the library cannot take
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator
+    .TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int))
 
 
 def validate_payload(payload) -> str:
     if not isinstance(payload, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = payload.get("kind")
-    if kind not in SCHEMAS:
+    if not isinstance(kind, str) or kind not in SCHEMAS:
         raise ScenarioError(
             f"$.kind: unknown scenario kind {kind!r}; expected one of {sorted(SCHEMAS)}")
-    validator = jsonschema.Draft202012Validator(SCHEMAS[kind])
+    validator = _Validator(SCHEMAS[kind])
     errors = sorted(validator.iter_errors(payload), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
@@ -196,11 +209,8 @@ def run_z22(payload, verbose=False):
     L2 = catalog.lattice.cls(payload["line_bundles"]["L2"])
     data = covers.BranchDataSurface(catalog.lattice, branch, (L1, L2), components=comps)
 
-    validation = covers.validate_building_data(data)
-    result = {"validation": {"ok": validation.ok, "checks": _checks(validation)}}
-    if not validation.ok:
-        raise FailedReport(result, 1)
-
+    validation = covers.validate_building_data(data).require(covers.Z22_COVER)
+    result = {"validation": {"ok": True, "checks": _checks(validation)}}
     report = covers.z22_bicanonical_report(data, lambda cls: linsys.h0_class(cfg, cls))
     kernel = report.kernel.elements()
     result.update({
@@ -223,13 +233,9 @@ def run_z22(payload, verbose=False):
 
 
 def render_z22(result, verbose=False):
-    validation = result["validation"]
-    lines = [f"building data: {'valid' if validation['ok'] else 'INVALID'}"]
+    lines = ["building data: valid"]
     if verbose:
-        lines += _check_lines(validation["checks"], "  check")
-    if not validation["ok"]:
-        fail = next(c for c in validation["checks"] if not c["passed"])
-        return lines + [f"failed relation: {fail['name']} ({fail['detail']})"]
+        lines += _check_lines(result["validation"]["checks"], "  check")
     verdict = result["verdict"]
     k2_text = (f"K²={result['K2']}" if result["K2"] is not None
                else f"K²(cover)={result['K2_cover']}")
@@ -282,10 +288,7 @@ def run_product_quotient(payload, verbose=False):
                 "branch": [{"element": list(gamma.coords), "degree": degree}
                            for gamma, degree in data.sorted_entries()],
                 "checks": _checks(validation)})
-        if not validation.ok:
-            fail = validation.first_failure()
-            raise ScenarioError(
-                f"curve {number} building data invalid: {fail.name} ({fail.detail})")
+        validation.require(f"curve {number}")
 
     report = beauville.bicanonical_report(beauville.ProductQuotientSpec(group, psi, *curves))
     result = {
@@ -352,7 +355,7 @@ def run_fermat(payload, verbose=False):
                    else f"composed with subgroup of order {report.kernel.order}",
     }
     if not (report.weight_identity and all(ok for _, ok in report.ratio_checks)):
-        raise FailedReport(result, 2)
+        raise FailedReport(result)
     return result
 
 
@@ -397,7 +400,7 @@ def run_proofcheck(payload, verbose=False):
                     and result.get("reider_multiples", [1]) == [1]
                     and result.get("rational_curve_case", {}).get("excluded_negative_definite", True))
     if not result["ok"]:
-        raise FailedReport(result, 2)
+        raise FailedReport(result)
     return result
 
 
@@ -429,13 +432,7 @@ def render_proofcheck(result, verbose=False):
 def run_double_cover(payload, verbose=False):
     cases = []
     for case in payload["cases"]:
-        cover = covers.DoubleCoverInput(
-            case["label"], case["chi_base"], case["pg_base"], case["K2_base"],
-            case["M_sq"], case["M_K"], case["h0_K_plus_M"])
-        try:
-            inv = covers.double_cover_invariants(cover)
-        except covers.InvalidCoverData as exc:
-            raise ScenarioError(f"case {case['label']}: {exc}")
+        inv = covers.double_cover_invariants(covers.DoubleCoverInput(**case))
         bound = proofcheck.check_corollary(inv.K2, inv.q) if inv.q >= 0 else None
         cases.append({"label": case["label"], **_invariants(inv), "bound_holds": bound})
     return {"cases": cases}
@@ -549,33 +546,33 @@ def builtin_scenario_text(name: str) -> str:
 
 
 def load_scenario(arg: str) -> dict:
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        source = arg
-    elif arg in BUILTIN_ORDER:
-        text = builtin_scenario_text(arg)
-        source = f"builtin scenario {arg!r}"
-    else:
-        raise ScenarioError(f"no such file or builtin scenario: {arg!r}")
     try:
+        if Path(arg).is_file():
+            text, source = Path(arg).read_text(encoding="utf-8"), arg
+        elif arg in BUILTIN_ORDER:
+            text, source = builtin_scenario_text(arg), f"builtin scenario {arg!r}"
+        else:
+            raise ScenarioError(f"no such file or builtin scenario: {arg!r}")
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ScenarioError(f"cannot read {arg!r}: {exc}")
 
 
 def run_scenario(payload: dict, verbose: bool = False):
-    """Run one scenario: its JSON report, and the text lines rendered from it."""
+    """Run one scenario: its JSON report, and the text lines rendered from it.
+    The only place where an exception becomes an exit code (module docstring)."""
     kind = validate_payload(payload)
     run, render = KINDS[kind]
     try:
         result = run(payload, verbose=verbose)
     except FailedReport as exc:
-        raise ScenarioError("\n".join(render(exc.result, verbose)), exc.exit_code)
+        raise ScenarioError("\n".join(render(exc.args[0], verbose)), exit_code=2)
     except covers.InternalInconsistency as exc:
         raise ScenarioError(f"internal inconsistency: {exc}", exit_code=2)
-    except ValueError as exc:  # InvalidCoverData, LatticeMismatch, GroupError among them
-        raise ScenarioError(f"validation failed: {exc}", exit_code=1)
+    except ValueError as exc:
+        raise ScenarioError(f"validation failed: {exc}")
     result["kind"] = kind
     name = payload.get("name")
     if name:

@@ -32,7 +32,10 @@ class InvalidCoverData(ValueError):
 
 
 class InternalInconsistency(RuntimeError):
-    """A consistency identity (eigentable sum, plurigenus bookkeeping) failed."""
+    """A consistency identity (eigentable sum, stored value, freeness) failed."""
+
+
+Z22_COVER = "Z2 x Z2 cover"  # how validation errors name a surface cover
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,14 @@ class ValidationReport:
 
     def first_failure(self) -> ValidationCheck | None:
         return next((c for c in self.checks if not c.passed), None)
+
+    def require(self, what: str) -> "ValidationReport":
+        """This report if every check passed, else InvalidCoverData naming a failure."""
+        fail = self.first_failure()
+        if fail is not None:
+            raise InvalidCoverData(f"{what} building data invalid, failed relation: "
+                                   f"{fail.name} ({fail.detail})")
+        return self
 
 
 class BranchDataP1:
@@ -336,20 +347,17 @@ def _validate_surface(data: BranchDataSurface) -> ValidationReport:
     return ValidationReport(tuple(checks))
 
 
-def z22_surface_cover_invariants(data: BranchDataSurface, h0, chi_base: int = 1) -> CoverInvariants:
+def z22_surface_cover_invariants(data: BranchDataSurface, h0) -> CoverInvariants:
     """Invariants of the Z_2 x Z_2 cover X of a rational surface:
-    p_g from the three h^0(K + L_i), chi from 4*chi(base) + sum L_i(K+L_i)/2,
-    and K_X^2 from 2K_X = pullback of (2K + D)."""
-    report = validate_building_data(data)
-    if not report.ok:
-        fail = report.first_failure()
-        raise InvalidCoverData(f"building data invalid: {fail.name} ({fail.detail})")
+    p_g from the three h^0(K + L_i), chi from 4 + sum L_i(K+L_i)/2 (the base
+    is rational, chi = 1), and K_X^2 from 2K_X = pullback of (2K + D)."""
+    validate_building_data(data).require(Z22_COVER)
     K = canonical_class(data.lattice)
     pg = sum(h0(K + Li) for Li in data.L)
     s = sum(Li.dot(K + Li) for Li in data.L)
     if s % 2 != 0:
         raise InvalidCoverData("sum of L_i(K + L_i) is odd, so chi is not an integer")
-    chi = 4 * chi_base + s // 2
+    chi = 4 + s // 2
     two_K_up = 2 * K + data.total_branch()
     K2 = two_K_up.dot(two_K_up)  # degree 4 cover: (2K_X)^2 = 4 (2K+D)^2
     return CoverInvariants(K2, chi, pg, pg + 1 - chi)

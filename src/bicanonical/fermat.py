@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import beauville
-from .covers import make_verdict
+from .covers import InternalInconsistency, make_verdict
 from .exactlinalg import in_row_lattice
 from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
                        common_kernel, pair_elements)
@@ -250,7 +250,7 @@ def fermat_report() -> FermatReport:
     fixed = fermat_fixed_elements()
     free, witness = beauville.is_free(psi, fixed, fixed)
     if not free:
-        raise RuntimeError(f"the graph action has a fixed point at {witness.coords}")
+        raise InternalInconsistency(f"the graph action has a fixed point at {witness.coords}")
     invariants = beauville.beauville_invariants(FERMAT_GENUS, FERMAT_GENUS,
                                                 FERMAT_GROUP.order)
     monomials = invariant_monomials()

@@ -136,6 +136,13 @@ class _Residues:
         obj.__dict__.update(group=group, coords=coords)
         return obj
 
+    def __post_init__(self):
+        """The public constructor's checks: one reduced residue per factor."""
+        if len(self.coords) != self.group.rank:
+            raise GroupError("coordinate length does not match the group rank")
+        if any(not 0 <= c < m for c, m in zip(self.coords, self.group.moduli)):
+            raise GroupError("coordinates must be reduced residues")
+
     def _check(self, other):
         if type(other) is not type(self) or (other.group is not self.group
                                              and other.group != self.group):
@@ -169,12 +176,6 @@ class GroupElement(_Residues):
     group: AbelianGroup
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise GroupError("coordinate length does not match the group rank")
-        if any(not 0 <= c < m for c, m in zip(self.coords, self.group.moduli)):
-            raise GroupError("coordinates must be reduced residues")
-
     def order(self) -> int:
         return lcm(*(m // gcd(c, m) for c, m in zip(self.coords, self.group.moduli)))
 
@@ -183,12 +184,6 @@ class GroupElement(_Residues):
 class Character(_Residues):
     group: AbelianGroup
     coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.group.rank:
-            raise GroupError("coordinate length does not match the group rank")
-        if any(not 0 <= c < m for c, m in zip(self.coords, self.group.moduli)):
-            raise GroupError("coordinates must be reduced residues")
 
     def pairing(self, g: GroupElement) -> int:
         """Exponent of the root of unity chi(g), modulo the group exponent."""
@@ -377,7 +372,7 @@ def common_kernel(chars, group: AbelianGroup | None = None) -> Subgroup:
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
-def element_name(g: GroupElement, symbol: str = "γ") -> str:
+def element_name(g: GroupElement) -> str:
     """Readable name of an element as a sum of standard generators."""
     if g.is_zero():
         return "0"
@@ -386,5 +381,5 @@ def element_name(g: GroupElement, symbol: str = "γ") -> str:
         if c == 0:
             continue
         coef = "" if c == 1 else str(c)
-        parts.append(f"{coef}{symbol}{str(idx).translate(_SUBSCRIPTS)}")
+        parts.append(f"{coef}γ{str(idx).translate(_SUBSCRIPTS)}")
     return "+".join(parts)

@@ -28,10 +28,21 @@ from .exactlinalg import exact_rank
 from .piclattice import DivisorClass
 
 
+# Caps on the sizes that drive elimination: the degree sets the number of
+# columns (and, with the multiplicities, of rows) of the interpolation
+# matrix, and each fixed component stripped by h0_class is one loop step and
+# one trace note.
+MAX_DEGREE = 12
+MAX_FIXED_COMPONENTS = 100
+
+
 def _to_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("point coordinates must be exact (int, Fraction or 'p/q' string)")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"point coordinate {x!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
@@ -119,8 +130,8 @@ class FatPointSystem:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        if not 0 <= self.degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be between 0 and {MAX_DEGREE}, got {self.degree}")
         if any(m < 0 for m in self.multiplicities):
             raise ValueError("multiplicities must be >= 0")
 
@@ -192,6 +203,9 @@ def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None
             trace.append(f"negative degree d={d}: empty system")
         return 0
     mult = [-cls.coefficient(f"e{i}") for i in range(1, cfg.n_points + 1)]
+    fixed = -sum(m for m in mult if m < 0)
+    if fixed > MAX_FIXED_COMPONENTS:
+        raise ValueError(f"{fixed} fixed components exceed the limit of {MAX_FIXED_COMPONENTS}")
     for i in range(cfg.n_points):
         while mult[i] < 0:
             # cls . e_i equals the current m_i, so a negative value certifies

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import CoverInvariants, DoubleCoverInput, double_cover_invariants
+from .covers import (CoverInvariants, DoubleCoverInput, InternalInconsistency,
+                     double_cover_invariants)
 from .piclattice import (is_negative_definite, make_blowup_lattice,
                          make_quadric_lattice, pullback_numerics)
 
@@ -76,7 +77,7 @@ def _blowup_pullback_numerics(n_points: int):
     twoK_L0 = 2 * L_L0 + L0_sq
     twoK_sq = 4 * L_sq + 4 * L_L0 + L0_sq
     if twoK_L % 2 or twoK_L0 % 2 or twoK_sq % 4:
-        raise ArithmeticError("pullback numerics are not integral")
+        raise InternalInconsistency("pullback numerics are not integral")
     return {"L_sq": L_sq, "L_L0": L_L0, "L0_sq": L0_sq,
             "K_L": twoK_L // 2, "K_L0": twoK_L0 // 2, "K_sq": twoK_sq // 4}
 
@@ -101,7 +102,7 @@ def _case_k7_divisible() -> DoubleCoverInput:
     M_sq_times4 = 4 * KmL_sq - 4 * KmL_L0 + num["L0_sq"]
     M_K_times2 = 2 * (num["K_sq"] - num["K_L"]) - num["K_L0"]
     if M_sq_times4 % 4 or M_K_times2 % 2:
-        raise ArithmeticError("half-branch numerics are not integral")
+        raise InternalInconsistency("half-branch numerics are not integral")
     return DoubleCoverInput("K7-divisible", chi_base=1, pg_base=0,
                             K2_base=num["K_sq"], M_sq=M_sq_times4 // 4,
                             M_K=M_K_times2 // 2,
@@ -141,7 +142,7 @@ def run_case_table() -> list[CaseRecord]:
         inv = double_cover_invariants(cover)
         expected = EXPECTED_CASE_TUPLES[cover.label]
         if inv.as_tuple() != expected:
-            raise ArithmeticError(
+            raise InternalInconsistency(
                 f"{cover.label}: computed {inv.as_tuple()}, expected {expected}")
         records.append(CaseRecord(cover.label, cover, inv,
                                   check_corollary(inv.K2, inv.q)))
@@ -178,7 +179,6 @@ class RationalCurveReport:
     L0_sq: int
     divisible_by_two: bool
     cases: tuple[StrictTransformCase, ...]
-    excluded_gram: tuple[tuple[int, ...], ...]
     excluded_negative_definite: bool
 
 
@@ -204,5 +204,4 @@ def lemma32_cases() -> RationalCurveReport:
         K_L0=num["K_L0"], L0_sq=num["L0_sq"],
         divisible_by_two=num["L0_sq"] % 4 == 0,  # L0 = 2(K - L), so L0^2 = 4(K-L)^2
         cases=tuple(cases),
-        excluded_gram=gram,
         excluded_negative_definite=is_negative_definite(gram))

@@ -208,3 +208,14 @@ def test_split_factors_recorded():
     for entry in report.entries:
         chi1, chi2 = split_character(entry.character)
         assert entry.factors == (chi1, chi2)
+
+
+def test_invalid_curve_is_named_by_its_number():
+    spec = z23_spec()
+    G = spec.group
+    g1, g2, g3 = G.generators()
+    spec.branch2 = BranchDataP1(G, {g1: ("Q1",), g2: ("Q2",), g1 + g2: ("Q3",),
+                                    g3: ("Q4", "Q5")}, line_bundles=[1, 2, 1])
+    with pytest.raises(InvalidCoverData,
+                       match=r"^curve 2 building data invalid, failed relation: 2L2 "):
+        bicanonical_report(spec)

@@ -1,10 +1,14 @@
+import copy
 import json
+from datetime import timedelta
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bicanonical import cli
+from bicanonical import cli, fermat, proofcheck
 
 
 def run_cli(capsys, *argv):
@@ -361,3 +365,211 @@ def test_verbose_adds_the_same_detail_to_json(capsys):
     assert verbose == terse
     assert {"element": [1, 1, 0], "degree": 1} in curve2["branch"]
     assert all(check["passed"] for check in curve2["checks"])
+
+
+@pytest.mark.parametrize("kind", [[], {}, 7], ids=["list", "object", "number"])
+def test_non_string_kind_names_its_path(tmp_path, capsys, kind):
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, {"kind": kind}))
+    assert code == 1
+    assert out.startswith("error: $.kind: unknown scenario kind")
+
+
+@pytest.mark.parametrize("coordinate", ["1/0", "0/0"])
+def test_zero_denominator_coordinate_is_an_input_error(tmp_path, capsys, coordinate):
+    payload = {"kind": "linsys", "points": [[coordinate, 1, 1], [1, 0, 0]],
+               "systems": [{"degree": 2, "multiplicities": {}}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert out == f"error: validation failed: point coordinate {coordinate!r} has a zero denominator\n"
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"kind": "linsys", "systems": [{"degree": 2.0, "multiplicities": {}}]}, "$.systems[0].degree"),
+    ({"kind": "linsys", "points": [[2.0, 1, 1]], "systems": [{"degree": 1, "multiplicities": {}}]},
+     "$.points[0][0]"),
+    ({"kind": "lattice", "blowup_points": 2.0, "operations": [{"op": "canonical"}]},
+     "$.blowup_points"),
+], ids=["degree", "coordinate", "blowup-points"])
+def test_integral_float_is_not_an_integer(tmp_path, capsys, payload, path):
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert out.startswith(f"error: {path}: 2.0 is not")
+
+
+def test_invalid_building_data_reads_the_same_for_every_kind(tmp_path, capsys):
+    payload = builtin_payload("beauville8")
+    payload["curve1"]["line_bundles"][0] = 2
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: validation failed: curve 1 building data invalid, "
+                              "failed relation: 2L1 matches the charged branch degree "
+                              "(2*2 vs 2)\n")
+    payload = builtin_payload("inoue7")
+    payload["line_bundles"]["L1"]["e1"] = -2
+    path = write_scenario(tmp_path, payload)
+    for flags in ((), ("--verbose",)):
+        code, out = run_cli(capsys, "run", path, *flags)
+        assert code == 1
+        assert out.startswith("error: validation failed: Z2 x Z2 cover building data invalid, "
+                              "failed relation: 2L1 = D2 + D3 (")
+        assert len(out.splitlines()) == 1
+
+
+def test_double_cover_error_names_its_label_once(tmp_path, capsys):
+    payload = {"kind": "double-cover", "cases": [
+        {"label": "x", "chi_base": 1, "pg_base": 0, "K2_base": 7, "M_sq": -1, "M_K": 0,
+         "h0_K_plus_M": 0}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: validation failed: x: M(K+M) = -1 is odd, "
+                              "so chi is not an integer\n")
+
+
+def test_non_free_fermat_action_exits_2(capsys, monkeypatch):
+    every_element = frozenset(g for g in fermat.FERMAT_GROUP.elements() if not g.is_zero())
+    monkeypatch.setattr(fermat, "fermat_fixed_elements", lambda: every_element)
+    code, out = run_cli(capsys, "run", "fermat-z52")
+    assert code == 2
+    assert out.startswith("error: internal inconsistency: the graph action has a fixed point")
+
+
+def test_failed_fermat_identity_exits_2_with_its_partial_report(capsys, monkeypatch):
+    monkeypatch.setattr(fermat, "verify_weight_derivation", lambda: False)
+    code, out = run_cli(capsys, "run", "fermat-z52")
+    assert code == 2
+    assert "weight formula derivation: FAILED" in out
+
+
+def test_drifted_proofcheck_value_exits_2(capsys, monkeypatch):
+    monkeypatch.setitem(proofcheck.EXPECTED_CASE_TUPLES, "K8-blowup", (24, 3, 5, 4))
+    code, out = run_cli(capsys, "run", "proofcheck-all")
+    assert (code, out) == (2, "error: internal inconsistency: K8-blowup: computed "
+                              "(24, 3, 5, 3), expected (24, 3, 5, 4)\n")
+
+
+def test_unreadable_scenario_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out.startswith(f"error: cannot read {str(path)!r}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    code, out = run_cli(capsys, "run", str(deep))
+    assert code == 1
+    assert out.startswith(f"error: cannot read {str(deep)!r}")
+    code, out = run_cli(capsys, "run", str(tmp_path))  # a directory is not a scenario
+    assert code == 1
+    assert "no such file or builtin scenario" in out
+
+
+def _points_on_a_parabola(n):
+    return [[i, i * i + 1, 1] for i in range(n)]
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"kind": "lattice", "blowup_points": 101, "operations": [{"op": "canonical"}]},
+     "$.blowup_points"),
+    ({"kind": "linsys", "points": _points_on_a_parabola(11),
+      "systems": [{"degree": 2, "multiplicities": {}}]}, "$.points"),
+    ({"kind": "lattice", "operations": [{"op": "negative-definite",
+                                         "gram": [[-1]] * 21}]}, "$.operations[0].gram"),
+    ({"kind": "lattice", "operations": [{"op": "negative-definite",
+                                         "gram": [[-1] * 21]}]}, "$.operations[0].gram[0]"),
+], ids=["blowup-points", "linsys-points", "gram-rows", "gram-columns"])
+def test_schema_caps_name_their_path(tmp_path, capsys, payload, path):
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert out.startswith(f"error: {path}: ")
+
+
+def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
+    gram = [[-2 if i == j else 0 for j in range(20)] for i in range(20)]
+    payload = {"kind": "lattice", "blowup_points": 100, "operations": [
+        {"op": "canonical"}, {"op": "negative-definite", "gram": gram}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 0
+    assert out.endswith("e100\nnegative definite: true\n")
+    payload = {"kind": "linsys", "points": _points_on_a_parabola(10),
+               "systems": [{"degree": 12, "multiplicities": {"P1": 2}}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 0
+    assert out.endswith("= 88\n")
+
+
+@pytest.mark.parametrize("system, message", [
+    ({"degree": 13, "multiplicities": {}}, "degree must be between 0 and 12, got 13"),
+    ({"class": {"l": 13}}, "degree must be between 0 and 12, got 13"),
+    ({"class": {"l": 2, "e1": 3_000_000}}, "3000000 fixed components exceed the limit of 100"),
+], ids=["degree", "class-degree", "fixed-components"])
+def test_linsys_size_caps(tmp_path, capsys, system, message):
+    payload = {"kind": "linsys", "systems": [system]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, f"error: validation failed: {message}\n")
+
+
+def test_z22_h0_calls_are_capped(tmp_path, capsys):
+    line_40 = {"l": 40}
+    payload = {"kind": "z22-surface-cover",
+               "branch": {"D1": line_40, "D2": line_40, "D3": line_40},
+               "line_bundles": {"L1": line_40, "L2": line_40}}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert code == 1
+    assert "degree must be between 0 and 12" in out
+
+
+_CONTRACT_PAYLOADS = [builtin_payload(name) for name in cli.BUILTIN_ORDER] + [
+    {"kind": "double-cover", "cases": [
+        {"label": "K7-irreducible", "chi_base": 1, "pg_base": 0, "K2_base": 7,
+         "M_sq": -1, "M_K": 1, "h0_K_plus_M": 4}]},
+    {"kind": "linsys", "points": [[1, 0, 0], ["1/2", 1, 0], [0, 0, 1], [1, 1, "-3/5"]],
+     "labels": ["A", "B", "C", "D"],
+     "systems": [{"degree": 4, "multiplicities": {"A": 2, "B": 1, "D": 2}},
+                 {"class": {"l": 3, "e1": -1, "e2": 1, "e4": -2}}]},
+    {"kind": "lattice", "blowup_points": 6, "operations": [
+        {"op": "intersect", "a": {"l": 5, "e1": -1}, "b": {"l": 1}},
+        {"op": "pullback", "degree": 4, "a": {"l": 1}, "b": {"l": 1}},
+        {"op": "canonical"},
+        {"op": "negative-definite", "gram": [[-3, 0, 1], [0, -3, 1], [1, 1, -2]]},
+        {"op": "divisible", "a": {"l": 10, "e1": -2}, "k": 2}]},
+]
+_ATOMS = ([], {}, "1/0", "0/0", "", "x", None, True, 2.0, 0, -1, 10 ** 12, -10 ** 12, 2 ** 64)
+
+
+def _paths(node, path=()):
+    if path:
+        yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A builtin or one payload per kind, with one to three keys deleted or
+    values swapped for atoms."""
+    payload = copy.deepcopy(draw(st.sampled_from(_CONTRACT_PAYLOADS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(payload))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_ATOMS)))
+    return payload
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=5))
+@given(mutated_payloads())
+def test_every_mutated_payload_reports_or_exits_1_or_2(payload):
+    try:
+        result, lines = cli.run_scenario(payload)
+    except cli.ScenarioError as exc:
+        assert exc.exit_code in (1, 2)
+    else:
+        assert lines[0].startswith("scenario")
+        json.dumps(result)

@@ -260,3 +260,26 @@ def test_q_equals_pg_plus_one_minus_chi_everywhere(h0):
     for tup in ((16, 2, 4, 3), (14, 2, 3, 2), (24, 3, 5, 3)):
         inv = CoverInvariants(*tup)
         assert inv.q == inv.pg + 1 - inv.chi
+
+
+def test_require_returns_a_passing_report_and_names_a_failed_relation():
+    _, c1, _ = z23_curves()
+    report = validate_building_data(c1)
+    assert report.require("curve 1") is report
+    G = make_group([2, 2, 2])
+    g1, g2, g3 = G.generators()
+    bad = BranchDataP1(G, {g1: ("P1", "P2"), g2: ("P3", "P4"), g3: ("P5", "P6")},
+                       line_bundles=[2, 1, 1])
+    with pytest.raises(InvalidCoverData) as excinfo:
+        validate_building_data(bad).require("curve 1")
+    assert str(excinfo.value) == ("curve 1 building data invalid, failed relation: "
+                                  "2L1 matches the charged branch degree (2*2 vs 2)")
+
+
+def test_surface_cover_failure_uses_the_shared_wording(h0):
+    data = inoue_building_data()
+    broken = BranchDataSurface(data.lattice, data.D, (data.L[0] + data.lattice.basis("e1"),
+                                                      data.L[1]))
+    with pytest.raises(InvalidCoverData,
+                       match="^Z2 x Z2 cover building data invalid, failed relation: 2L1"):
+        z22_surface_cover_invariants(broken, h0)

@@ -10,6 +10,7 @@ from bicanonical.linsys import (FatPointSystem, PointConfig, ProjectivePoint,
                                 apply_projectivity, collinear, h0_class,
                                 h0_fat_points, interpolation_matrix,
                                 quadrilateral_config)
+from bicanonical.linsys import MAX_DEGREE, MAX_FIXED_COMPONENTS
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
 
 
@@ -276,3 +277,26 @@ def test_multiplicity_far_above_the_degree(cfg):
     system = FatPointSystem(5, (40, 0, 0, 0, 0, 0))
     assert len(interpolation_matrix(cfg, system)) == 21
     assert h0_fat_points(cfg, system) == 0
+
+
+def test_zero_denominator_coordinate_is_a_value_error():
+    for coordinate in ("1/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            ProjectivePoint.of(coordinate, 1, 1)
+
+
+def test_degree_is_capped(cfg):
+    assert h0_fat_points(cfg, FatPointSystem(MAX_DEGREE, (0,) * 6)) == \
+        (MAX_DEGREE + 1) * (MAX_DEGREE + 2) // 2
+    with pytest.raises(ValueError, match="degree must be between 0 and"):
+        FatPointSystem(MAX_DEGREE + 1, (0,) * 6)
+
+
+def test_fixed_components_are_capped_before_any_is_stripped(cfg, lat):
+    trace = []
+    assert h0_class(cfg, lat.cls({"l": 2, "e1": MAX_FIXED_COMPONENTS}), trace=trace) == 6
+    assert len(trace) == MAX_FIXED_COMPONENTS
+    trace = []
+    with pytest.raises(ValueError, match="fixed components exceed"):
+        h0_class(cfg, lat.cls({"l": 2, "e1": 3_000_000, "e2": 1}), trace=trace)
+    assert trace == []
