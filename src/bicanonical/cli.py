@@ -6,6 +6,12 @@ human-readable report, or the same data as JSON with --json.  Each runner
 builds only the JSON report; the text report is rendered from it, so the two
 views cannot disagree.
 
+Each scenario is checked against its schema in SCHEMAS before anything runs.
+Validation is in-house (compile_schema, standard library only), with
+jsonschema-compatible messages: the error reported is the one jsonschema
+4.26 would report first by path, in its words and "$." path format.  Only
+the keywords SCHEMAS uses are supported; any other raises at import.
+
 Exit codes are chosen in run_scenario alone.  0: success.  1: bad input,
 either a ScenarioError for what the command line checks itself (file, JSON,
 schema, kind, group order, branch entries, unknown names) or a ValueError
@@ -21,12 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from importlib import resources
 from math import prod
 from pathlib import Path
-
-import jsonschema
 
 from . import beauville, covers, fermat, linsys, piclattice, proofcheck
 from .grouplib import MAX_GROUP_ORDER, Automorphism, element_name, make_group
@@ -46,6 +51,189 @@ class ScenarioError(Exception):
 class FailedReport(Exception):
     """Raised with a report whose own identities failed (args[0]); that
     partial report becomes the error text."""
+
+
+# ------------------------------------------------------------------ schemas
+# The scenario schemas use only the JSON Schema 2020-12 keywords of _KEYWORDS,
+# checked as the module docstring says.  A JSON integer is an exact int:
+# neither True nor 2.0.
+
+_TYPES = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+          "string": lambda v: isinstance(v, str), "integer": lambda v: type(v) is int}
+_JSON_PATH_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+def _json_path(path) -> str:
+    return "$" + "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" if _JSON_PATH_NAME.match(key)
+        else "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']" for key in path)
+
+
+def _equal(value, constant) -> bool:
+    """JSON equality with a string or number constant: True != 1, but 6.0 == 6."""
+    return isinstance(value, bool) == isinstance(constant, bool) and value == constant
+
+
+def _is_valid(check, value) -> bool:
+    errors = []
+    check(value, (), errors)
+    return not errors
+
+
+def _type(name, schema):
+    is_type = _TYPES[name]
+
+    def check(value, path, errors):
+        if not is_type(value):
+            errors.append((path, f"{value!r} is not of type {name!r}"))
+    return check
+
+
+def _const(const, schema):
+    def check(value, path, errors):
+        if not _equal(value, const):
+            errors.append((path, f"{const!r} was expected"))
+    return check
+
+
+def _enum(options, schema):
+    def check(value, path, errors):
+        if not any(_equal(value, option) for option in options):
+            errors.append((path, f"{value!r} is not one of {options!r}"))
+    return check
+
+
+def _bound(limit, above, wording):
+    def check(value, path, errors):
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (value > limit if above else value < limit)):
+            errors.append((path, f"{value!r} {wording} {limit!r}"))
+    return check
+
+
+def _length(limit, above, wording):
+    def check(value, path, errors):
+        if isinstance(value, list) and (len(value) > limit if above else len(value) < limit):
+            errors.append((path, f"{value!r} {wording}"))
+    return check
+
+
+def _items(item_schema, schema):
+    item = compile_schema(item_schema)
+
+    def check(value, path, errors):
+        if isinstance(value, list):
+            for index, entry in enumerate(value):
+                item(entry, path + (index,), errors)
+    return check
+
+
+def _required(names, schema):
+    def check(value, path, errors):
+        if isinstance(value, dict):
+            errors.extend((path, f"{name!r} is a required property")
+                          for name in names if name not in value)
+    return check
+
+
+def _dependent_required(needs, schema):
+    def check(value, path, errors):
+        if isinstance(value, dict):
+            errors.extend((path, f"{need!r} is a dependency of {name!r}")
+                          for name, wanted in needs.items() if name in value
+                          for need in wanted if need not in value)
+    return check
+
+
+def _properties(properties, schema):
+    fields = [(name, compile_schema(sub)) for name, sub in properties.items()]
+
+    def check(value, path, errors):
+        if isinstance(value, dict):
+            for name, field in fields:
+                if name in value:
+                    field(value[name], path + (name,), errors)
+    return check
+
+
+def _additional_properties(extra_schema, schema):
+    known = schema.get("properties", {})
+    if extra_schema is not False:
+        extra = compile_schema(extra_schema)
+
+        def check(value, path, errors):
+            if isinstance(value, dict):
+                for name, entry in value.items():
+                    if name not in known:
+                        extra(entry, path + (name,), errors)
+        return check
+
+    def check(value, path, errors):
+        if isinstance(value, dict):
+            extras = sorted((name for name in value if name not in known), key=str)
+            if extras:
+                errors.append((path, "Additional properties are not allowed ("
+                               + ", ".join(map(repr, extras))
+                               + (" was" if len(extras) == 1 else " were") + " unexpected)"))
+    return check
+
+
+def _one_of(options, schema):
+    subs = [(option, compile_schema(option)) for option in options]
+
+    def check(value, path, errors):
+        valid = [option for option, sub in subs if _is_valid(sub, value)]
+        if not valid:
+            errors.append((path, f"{value!r} is not valid under any of the given schemas"))
+        elif len(valid) > 1:  # the later matches are named first, then the first one
+            errors.append((path, f"{value!r} is valid under each of "
+                           + ", ".join(map(repr, valid[1:] + valid[:1]))))
+    return check
+
+
+def _all_of(options, schema):
+    subs = [compile_schema(option) for option in options]
+
+    def check(value, path, errors):
+        for sub in subs:
+            sub(value, path, errors)
+    return check
+
+
+def _if(condition, schema):
+    test, then = compile_schema(condition), compile_schema(schema.get("then", {}))
+
+    def check(value, path, errors):
+        if _is_valid(test, value):
+            then(value, path, errors)
+    return check
+
+
+_KEYWORDS = {
+    "type": _type, "const": _const, "enum": _enum,
+    "minimum": lambda m, _: _bound(m, False, "is less than the minimum of"),
+    "maximum": lambda m, _: _bound(m, True, "is greater than the maximum of"),
+    "minItems": lambda n, _: _length(n, False, "should be non-empty" if n == 1 else "is too short"),
+    "maxItems": lambda n, _: _length(n, True, "is expected to be empty" if n == 0 else "is too long"),
+    "items": _items, "required": _required, "dependentRequired": _dependent_required,
+    "properties": _properties, "additionalProperties": _additional_properties,
+    "oneOf": _one_of, "allOf": _all_of, "if": _if, "then": None,  # "then" is read by "if"
+}
+
+
+def compile_schema(schema):
+    """The check(value, path, errors) of a schema, which appends a (path,
+    message) pair per violation, visiting keywords in the schema's order.
+    Raises ValueError on a keyword outside _KEYWORDS."""
+    unknown = sorted(set(schema) - set(_KEYWORDS))
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {unknown}")
+    checks = [_KEYWORDS[k](v, schema) for k, v in schema.items() if _KEYWORDS[k]]
+
+    def check(value, path, errors):
+        for keyword_check in checks:
+            keyword_check(value, path, errors)
+    return check
 
 
 def _closed(properties, required=(), **extra):
@@ -136,10 +324,7 @@ SCHEMAS = {
                   ["kind", *required])
     for kind, (required, fields) in _KIND_FIELDS.items()
 }
-# Draft 2020-12 counts 2.0 as an integer, which the library cannot take
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator
-    .TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int))
+_CHECKS = {kind: compile_schema(schema) for kind, schema in SCHEMAS.items()}
 
 
 def validate_payload(payload) -> str:
@@ -149,11 +334,11 @@ def validate_payload(payload) -> str:
     if not isinstance(kind, str) or kind not in SCHEMAS:
         raise ScenarioError(
             f"$.kind: unknown scenario kind {kind!r}; expected one of {sorted(SCHEMAS)}")
-    validator = _Validator(SCHEMAS[kind])
-    errors = sorted(validator.iter_errors(payload), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        raise ScenarioError(f"{err.json_path}: {err.message}")
+    errors = []
+    _CHECKS[kind](payload, (), errors)
+    if errors:  # the least path wins, then the first visited among equals
+        path, message = min(errors, key=lambda error: error[0])
+        raise ScenarioError(f"{_json_path(path)}: {message}")
     return kind
 
 

@@ -188,12 +188,13 @@ def builtin_ratio_identities() -> list[tuple[str, RatioVector, list[tuple[BiMono
             ("x1^5/z1^5", x1_5_over_z1_5(), second)]
 
 
-def residual_character(m: BiMonomial) -> Character:
+def residual_character(m: BiMonomial, iso=None) -> Character:
     """Character by which the residual group G = (G x G)/Gamma scales an
     invariant monomial, evaluated on coset representatives chosen through the
-    quotient isomorphism (a, b) -> b - psi(a)."""
-    psi = fermat_psi()
-    iso = beauville.quotient_iso(psi)
+    quotient isomorphism iso: (a, b) -> b - psi(a), built from fermat_psi()
+    when not given."""
+    if iso is None:
+        iso = beauville.quotient_iso(fermat_psi())
     coords = []
     for gen in FERMAT_GROUP.generators():
         rep = pair_elements(FERMAT_GROUP.zero(), gen)
@@ -203,14 +204,16 @@ def residual_character(m: BiMonomial) -> Character:
     return FERMAT_GROUP.character(coords)
 
 
-def residual_kernel(monomials=None) -> Subgroup:
+def residual_kernel(monomials=None, iso=None) -> Subgroup:
     """Elements of the residual group acting trivially on every ratio of the
     given monomials: the common kernel of the difference characters."""
     ms = invariant_monomials() if monomials is None else list(monomials)
     if len(ms) <= 1:
         return Subgroup(FERMAT_GROUP, FERMAT_GROUP.elements())
-    base = residual_character(ms[0])
-    diffs = [residual_character(m) - base for m in ms[1:]]
+    if iso is None:
+        iso = beauville.quotient_iso(fermat_psi())
+    base = residual_character(ms[0], iso)
+    diffs = [residual_character(m, iso) - base for m in ms[1:]]
     return common_kernel(diffs, FERMAT_GROUP)
 
 
@@ -259,6 +262,6 @@ def fermat_report() -> FermatReport:
                     for name, target, combo in builtin_ratio_identities()]
     memberships = [("x^5/z^5", field_lattice_contains(x5_over_z5(), gens)),
                    ("x1^5/z1^5", field_lattice_contains(x1_5_over_z1_5(), gens))]
-    kernel = residual_kernel(monomials)
+    kernel = residual_kernel(monomials, beauville.quotient_iso(psi))
     return FermatReport(invariants, free, monomials, verify_weight_derivation(),
                         ratio_checks, memberships, kernel, make_verdict(kernel))

@@ -19,6 +19,7 @@ assumption is ever made.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -34,11 +35,16 @@ from .piclattice import DivisorClass
 # one trace note.
 MAX_DEGREE = 12
 MAX_FIXED_COMPONENTS = 100
+# a coordinate string is an integer or a fraction p/q; Fraction would also
+# parse exponents ("1e1000") and decimals, whose size nothing else bounds
+_COORDINATE = re.compile(r"-?\d+(/\d+)?")
 
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("point coordinates must be exact (int, Fraction or 'p/q' string)")
+    if isinstance(x, str) and not _COORDINATE.fullmatch(x):
+        raise ValueError(f"point coordinate {x!r} is not an integer or a fraction p/q")
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -1,5 +1,8 @@
 import copy
 import json
+import subprocess
+import sys
+import time
 from datetime import timedelta
 from pathlib import Path
 
@@ -543,23 +546,34 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
 @st.composite
-def mutated_payloads(draw):
+def mutated_payloads(draw, atoms=_ATOMS, new_keys=()):
     """A builtin or one payload per kind, with one to three keys deleted or
-    values swapped for atoms."""
+    values swapped for atoms, or, given new_keys, atoms added to objects
+    under those keys."""
     payload = copy.deepcopy(draw(st.sampled_from(_CONTRACT_PAYLOADS)))
     for _ in range(draw(st.integers(1, 3))):
+        if new_keys and draw(st.booleans()):
+            nodes = [payload] + [_at(payload, path) for path in _paths(payload)]
+            objects = [node for node in nodes if isinstance(node, dict)]
+            draw(st.sampled_from(objects))[draw(st.sampled_from(new_keys))] = \
+                copy.deepcopy(draw(st.sampled_from(atoms)))
+            continue
         paths = list(_paths(payload))
         if not paths:
             break
         path = draw(st.sampled_from(paths))
-        parent = payload
-        for key in path[:-1]:
-            parent = parent[key]
+        parent = _at(payload, path[:-1])
         if draw(st.booleans()):
             del parent[path[-1]]
         else:
-            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_ATOMS)))
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(atoms)))
     return payload
 
 
@@ -573,3 +587,113 @@ def test_every_mutated_payload_reports_or_exits_1_or_2(payload):
     else:
         assert lines[0].startswith("scenario")
         json.dumps(result)
+
+
+def test_cli_imports_no_jsonschema():
+    src = str(Path(cli.__file__).parents[1])
+    code = "import bicanonical.cli, sys; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": src}).stdout
+    assert out == "False\n"
+
+
+def test_unsupported_schema_keyword_is_rejected():
+    with pytest.raises(ValueError, match="pattern"):
+        cli.compile_schema({"type": "string", "pattern": "^P[0-9]+$"})
+    with pytest.raises(ValueError, match="pattern"):
+        cli.compile_schema({"type": "array", "items": {"type": "string", "pattern": "^P"}})
+
+
+# the schema validator cli.SCHEMAS was written for: jsonschema, with a JSON
+# integer an exact int, its errors sorted by path
+_ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, type_checker=jsonschema.Draft202012Validator
+    .TYPE_CHECKER.redefine("integer", lambda _, value: type(value) is int))
+
+
+def _oracle_error(payload):
+    errors = sorted(_ORACLE(cli.SCHEMAS[payload["kind"]]).iter_errors(payload),
+                    key=lambda e: list(e.absolute_path))
+    return f"{errors[0].json_path}: {errors[0].message}" if errors else None
+
+
+def _validation_error(payload):
+    try:
+        cli.validate_payload(payload)
+    except cli.ScenarioError as exc:
+        return str(exc)
+    return None
+
+
+def _edited(name, edit):
+    payload = builtin_payload(name) if isinstance(name, str) else copy.deepcopy(name)
+    edit(payload)
+    return payload
+
+
+_LINSYS, _LATTICE = _CONTRACT_PAYLOADS[-2], _CONTRACT_PAYLOADS[-1]
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_edited("inoue7", lambda p: p.update(blowup_points=6.0)), None),
+    (_edited("inoue7", lambda p: p.update(blowup_points=True)), "$.blowup_points: 6 was expected"),
+    (_edited(_LATTICE, lambda p: p.update(blowup_points=True)),
+     "$.blowup_points: True is not of type 'integer'"),
+    (_edited(_LATTICE, lambda p: p["operations"][4].update(k=1)),
+     "$.operations[4].k: 1 is less than the minimum of 2"),
+    (_edited(_LATTICE, lambda p: p["operations"][4].pop("k")),
+     "$.operations[4]: 'k' is a required property"),
+    (_edited("beauville8", lambda p: p["curve1"].update(zz=1)),
+     "$.curve1: Additional properties are not allowed ('zz' was unexpected)"),
+    (_edited("inoue7", lambda p: p.update({"b": 1, "a b": 2})),
+     "$: Additional properties are not allowed ('a b', 'b' were unexpected)"),
+    (_edited("inoue7", lambda p: p["line_bundles"]["L1"].update({"a b": "x", "it's": 1.5})),
+     "$.line_bundles.L1['a b']: 'x' is not of type 'integer'"),
+    (_edited("inoue7", lambda p: p["line_bundles"]["L1"].update({"it's": 1.5})),
+     "$.line_bundles.L1['it\\'s']: 1.5 is not of type 'integer'"),
+    (_edited(_LINSYS, lambda p: p["systems"][0].update({"class": {"l": 1}})),
+     "$.systems[0]: {'degree': 4, 'multiplicities': {'A': 2, 'B': 1, 'D': 2}, 'class': {'l': 1}} "
+     "is valid under each of {'required': ['degree', 'multiplicities']}, {'required': ['class']}"),
+    (_edited(_LINSYS, lambda p: p["systems"][0].pop("degree")),
+     "$.systems[0]: {'multiplicities': {'A': 2, 'B': 1, 'D': 2}} "
+     "is not valid under any of the given schemas"),
+    (_edited(_LINSYS, lambda p: p["systems"][1].update(degree=1)),
+     "$.systems[1]: 'multiplicities' is a dependency of 'degree'"),
+    (_edited(_LINSYS, lambda p: p["points"][0].pop()), "$.points[0]: [1, 0] is too short"),
+    (_edited(_LINSYS, lambda p: p["points"][0].append(1)), "$.points[0]: [1, 0, 0, 1] is too long"),
+    (_edited("proofcheck-all", lambda p: p.update(checks=[])), "$.checks: [] should be non-empty"),
+    (_edited("proofcheck-all", lambda p: p["checks"].append("x")),
+     "$.checks[3]: 'x' is not one of ['case-table', 'reider', 'lemma32']"),
+    (_edited("beauville8", lambda p: (p.pop("curve2"), p["curve1"].update(line_bundles="x"))),
+     "$: 'curve2' is a required property"),
+])
+def test_schema_messages_match_jsonschema(payload, message):
+    assert _validation_error(payload) == message
+    assert _oracle_error(payload) == message
+
+
+_ORACLE_ATOMS = _ATOMS + (False, 1, 6, 6.0, 1.5, 101, "reider", "canonical", "quadrilateral",
+                          "fermat", "linsys", {"l": 1}, ["S1"])
+_NEW_KEYS = ("zz", "a b", "it's", "class", "degree", "multiplicities", "op", "k", "e1")
+
+
+@settings(max_examples=250, deadline=timedelta(seconds=1))
+@given(mutated_payloads(_ORACLE_ATOMS, _NEW_KEYS))
+def test_mutated_payload_errors_match_jsonschema(payload):
+    message = _validation_error(payload)
+    kind = payload.get("kind")
+    if isinstance(kind, str) and kind in cli.SCHEMAS:
+        assert message == _oracle_error(payload)
+    else:
+        assert message.startswith("$.kind: unknown scenario kind")
+
+
+@pytest.mark.parametrize("coordinate", ["1e1000", "0.5", " 1/2"])
+def test_coordinate_other_than_integer_or_fraction_exits_1_at_once(tmp_path, capsys, coordinate):
+    payload = {"kind": "linsys", "points": [[coordinate, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               "systems": [{"degree": 12, "multiplicities": {"P1": 4, "P2": 4, "P3": 4, "P4": 4}}]}
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, f"error: validation failed: point coordinate {coordinate!r} "
+                              "is not an integer or a fraction p/q\n")

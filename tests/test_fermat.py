@@ -1,5 +1,6 @@
 import pytest
 
+from bicanonical import fermat
 from bicanonical.beauville import is_free
 from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVector,
                                 all_bimonomials, builtin_ratio_identities,
@@ -166,3 +167,11 @@ def test_monomial_ratio():
     ms = invariant_monomials()
     r = monomial_ratio(ms[0], ms[0])
     assert r.exponents == (0, 0, 0, 0, 0, 0)
+
+
+def test_report_builds_the_automorphism_once_beside_the_weight_check(monkeypatch):
+    built = []
+    real = fermat.fermat_psi
+    monkeypatch.setattr(fermat, "fermat_psi", lambda: built.append(1) or real())
+    assert fermat.fermat_report().kernel.order == 1
+    assert len(built) == 2  # the report's own, and verify_weight_derivation's
