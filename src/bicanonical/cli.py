@@ -14,13 +14,14 @@ the keywords SCHEMAS uses are supported; any other raises at import.
 
 Exit codes are chosen in run_scenario alone.  0: success.  1: bad input,
 either a ScenarioError for what the command line checks itself (file, JSON,
-schema, kind, group order, branch entries, unknown names) or a ValueError
-from the library (InvalidCoverData, GroupError, LatticeMismatch, the linsys
-size caps); invalid building data reads "<what> building data invalid,
-failed relation: <name> (<detail>)".  2: a failed consistency identity,
-raised as covers.InternalInconsistency or as a FailedReport carrying the
-partial report that is printed.  Anything else is a bug and keeps its
-traceback.
+schema, kind, group order, point coordinate size, branch entries, unknown
+names) or a ValueError from the library (InvalidCoverData, GroupError,
+LatticeMismatch, the linsys size caps; run_linsys prefixes the path
+$.systems[i] of the system that raised it); invalid building data reads
+"<what> building data invalid, failed relation: <name> (<detail>)".
+2: a failed consistency identity, raised as covers.InternalInconsistency
+or as a FailedReport carrying the partial report that is printed.
+Anything else is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -634,34 +635,47 @@ def render_double_cover(result, verbose=False):
 
 def _linsys_config(payload):
     if "points" in payload:
-        pts = tuple(linsys.ProjectivePoint.of(*coords) for coords in payload["points"])
+        pts = []
+        for i, coords in enumerate(payload["points"]):
+            point = linsys.ProjectivePoint.of(*coords)
+            if max(map(abs, linsys.integer_coords(point))) > linsys.MAX_COORDINATE:
+                raise ScenarioError(f"$.points[{i}]: coprime integer coordinates exceed "
+                                    f"the limit of {linsys.MAX_COORDINATE}")
+            pts.append(point)
         labels = tuple(payload.get("labels",
                                    [f"P{i}" for i in range(1, len(pts) + 1)]))
-        return linsys.PointConfig(pts, labels)
+        return linsys.PointConfig(tuple(pts), labels)
     return linsys.quadrilateral_config()
+
+
+def _linsys_system(cfg, lat, spec):
+    trace: list[str] = []
+    if "class" in spec:
+        cls = lat.cls(spec["class"])
+        value = linsys.h0_class(cfg, cls, trace=trace)
+        desc = str(cls)
+    else:  # the schema guarantees a degree with multiplicities
+        mult = [0] * cfg.n_points
+        for label, m in spec["multiplicities"].items():
+            try:
+                mult[cfg.index_of(label)] = m
+            except ValueError:
+                raise ScenarioError(f"unknown point label {label!r}")
+        value = linsys.h0_fat_points(cfg, linsys.FatPointSystem(spec["degree"], tuple(mult)))
+        desc = (f"degree {spec['degree']} with multiplicities "
+                + ",".join(map(str, mult)))
+    return {"system": desc, "h0": value, "notes": trace}
 
 
 def run_linsys(payload, verbose=False):
     cfg = _linsys_config(payload)
     lat = piclattice.make_blowup_lattice(cfg.n_points)
     systems = []
-    for spec in payload["systems"]:
-        trace: list[str] = []
-        if "class" in spec:
-            cls = lat.cls(spec["class"])
-            value = linsys.h0_class(cfg, cls, trace=trace)
-            desc = str(cls)
-        else:  # the schema guarantees a degree with multiplicities
-            mult = [0] * cfg.n_points
-            for label, m in spec["multiplicities"].items():
-                try:
-                    mult[cfg.index_of(label)] = m
-                except ValueError:
-                    raise ScenarioError(f"unknown point label {label!r}")
-            value = linsys.h0_fat_points(cfg, linsys.FatPointSystem(spec["degree"], tuple(mult)))
-            desc = (f"degree {spec['degree']} with multiplicities "
-                    + ",".join(map(str, mult)))
-        systems.append({"system": desc, "h0": value, "notes": trace})
+    for i, spec in enumerate(payload["systems"]):
+        try:
+            systems.append(_linsys_system(cfg, lat, spec))
+        except ValueError as exc:
+            raise ValueError(f"$.systems[{i}]: {exc}") from exc
     return {"systems": systems}
 
 

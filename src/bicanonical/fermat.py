@@ -175,10 +175,13 @@ def x1_5_over_z1_5() -> RatioVector:
     return RatioVector.of(x1=5, z1=-5)
 
 
-def builtin_ratio_identities() -> list[tuple[str, RatioVector, list[tuple[BiMonomial, int]]]]:
+def builtin_ratio_identities(monomials=None) -> list[
+        tuple[str, RatioVector, list[tuple[BiMonomial, int]]]]:
     """The two displayed factorisations of the quotient-map coordinate
-    functions as products of invariant monomials."""
-    m = {str(mono): mono for mono in invariant_monomials()}
+    functions as products of invariant monomials (taken from `monomials`,
+    invariant_monomials() when not given)."""
+    ms = invariant_monomials() if monomials is None else monomials
+    m = {str(mono): mono for mono in ms}
     first = [(m["x^3*y*x1^2*y1^2"], 1), (m["x^4*y1*z1^3"], 1),
              (m["x^2*y*z*x1*z1^3"], -1), (m["z^4*x1*y1^3"], -1)]
     second = [(m["z^4*x1*y1^3"], 2), (m["y^3*z*y1^2*z1^2"], 1),
@@ -259,7 +262,7 @@ def fermat_report() -> FermatReport:
     monomials = invariant_monomials()
     gens = ratio_lattice(monomials)
     ratio_checks = [(name, verify_ratio_identity(target, combo))
-                    for name, target, combo in builtin_ratio_identities()]
+                    for name, target, combo in builtin_ratio_identities(monomials)]
     memberships = [("x^5/z^5", field_lattice_contains(x5_over_z5(), gens)),
                    ("x1^5/z1^5", field_lattice_contains(x1_5_over_z1_5(), gens))]
     kernel = residual_kernel(monomials, beauville.quotient_iso(psi))

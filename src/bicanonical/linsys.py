@@ -15,6 +15,18 @@ exactly.  On special point configurations (such as the complete
 quadrilateral) this rank drops below the generic count, which is precisely
 the phenomenon the computations here need to capture; no genericity
 assumption is ever made.
+
+h0_fat_points first frames the system.  h^0 does not change under a
+projectivity, so up to three linearly independent points, heaviest first
+(ties by index), are sent to the coordinate vertices e_k by the integer
+adjugate of the matrix whose columns are their coordinates (completed by
+unit vectors to a basis).  At e_k the order-t_k partials are single-entry
+rows, one for each monomial whose k-th exponent is >= d - t_k, so the rows
+of the frame points span exactly the coordinate subspace of those killed
+monomials.  The rank of all rows is therefore the number of killed
+monomials plus the rank of the other points' rows restricted to the alive
+columns, those with every frame exponent <= d - 1 - t_k, and
+h^0 = |alive| - rank of the restricted rows, with no approximation.
 """
 
 from __future__ import annotations
@@ -35,6 +47,11 @@ from .piclattice import DivisorClass
 # one trace note.
 MAX_DEGREE = 12
 MAX_FIXED_COMPONENTS = 100
+# The command line caps each coprime integer coordinate of an input point:
+# the entries of the interpolation rows are powers of these coordinates (of
+# products of three of them after framing, which are not capped), so their
+# size sets the cost of each elimination step.
+MAX_COORDINATE = 2**16
 # a coordinate string is an integer or a fraction p/q; Fraction would also
 # parse exponents ("1e1000") and decimals, whose size nothing else bounds
 _COORDINATE = re.compile(r"-?\d+(/\d+)?")
@@ -69,12 +86,16 @@ class ProjectivePoint:
                 and a[1] * b[2] == a[2] * b[1])
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def collinear(p: ProjectivePoint, q: ProjectivePoint, r: ProjectivePoint) -> bool:
-    a, b, c = p.coords, q.coords, r.coords
-    det = (a[0] * (b[1] * c[2] - b[2] * c[1])
-           - a[1] * (b[0] * c[2] - b[2] * c[0])
-           + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    return det == 0
+    return _dot(_cross(p.coords, q.coords), r.coords) == 0
 
 
 @dataclass(frozen=True)
@@ -146,7 +167,7 @@ def _monomials(d: int) -> list[tuple[int, int, int]]:
     return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
 
 
-def _integer_coords(point: ProjectivePoint) -> tuple[int, int, int]:
+def integer_coords(point: ProjectivePoint) -> tuple[int, int, int]:
     """The point's coordinates scaled to coprime integers."""
     denom = lcm(*(c.denominator for c in point.coords))
     ints = [c.numerator * (denom // c.denominator) for c in point.coords]
@@ -176,7 +197,7 @@ def interpolation_matrix(cfg: PointConfig, system: FatPointSystem) -> list[list[
         if m == 0:
             continue
         t = min(m - 1, d)
-        x, y, z = (_partial_tables(v, d, t) for v in _integer_coords(cfg.points[idx]))
+        x, y, z = (_partial_tables(v, d, t) for v in integer_coords(cfg.points[idx]))
         for dx in range(t, -1, -1):
             for dy in range(t - dx, -1, -1):
                 px, py, pz = x[dx], y[dy], z[t - dx - dy]
@@ -184,13 +205,60 @@ def interpolation_matrix(cfg: PointConfig, system: FatPointSystem) -> list[list[
     return rows
 
 
+def _independent(v, basis) -> bool:
+    """Whether the nonzero integer vector v lies outside the span of the
+    independent vectors in basis (at most two)."""
+    if not basis:
+        return True
+    if len(basis) == 1:
+        return any(_cross(basis[0], v))
+    return _dot(_cross(*basis), v) != 0
+
+
 def h0_fat_points(cfg: PointConfig, system: FatPointSystem) -> int:
-    """dim of degree-d forms with multiplicity >= m_i at each P_i."""
-    if len(system.multiplicities) != cfg.n_points:
+    """dim of degree-d forms with multiplicity >= m_i at each P_i.
+
+    Up to three independent points, heaviest first, are moved to the
+    coordinate vertices (the frame); only the monomials their conditions
+    leave alive and the conditions of the other points are eliminated (see
+    the module docstring).
+    """
+    mult = system.multiplicities
+    if len(mult) != cfg.n_points:
         raise ValueError("need one multiplicity per configured point")
-    n_monomials = (system.degree + 1) * (system.degree + 2) // 2
-    rows = interpolation_matrix(cfg, system)
-    return n_monomials - exact_rank(rows)
+    d = system.degree
+    ints = [integer_coords(p) for p in cfg.points]
+    frame: list[int] = []
+    for i in sorted(range(len(mult)), key=lambda i: -mult[i]):
+        if mult[i] == 0 or len(frame) == 3:
+            break
+        if _independent(ints[i], [ints[j] for j in frame]):
+            frame.append(i)
+    basis = [ints[i] for i in frame]
+    for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        if len(basis) < 3 and _independent(unit, basis):
+            basis.append(unit)
+    # the rows of the adjugate of the matrix with columns b0, b1, b2: it
+    # sends b_k to det * e_k, and is invertible, so h0 does not change
+    adjugate = (_cross(basis[1], basis[2]), _cross(basis[2], basis[0]),
+                _cross(basis[0], basis[1]))
+    # exponent k of an alive monomial is at most d - 1 - t_k at frame point k
+    limit = [d] * 3
+    for k, i in enumerate(frame):
+        limit[k] = d - 1 - min(mult[i] - 1, d)
+    alive = [j for j, (a, b, c) in enumerate(_monomials(d))
+             if a <= limit[0] and b <= limit[1] and c <= limit[2]]
+    if not alive:
+        return 0
+    # the moved coordinates stay ints: exact rationals are all a point needs
+    moved = PointConfig(
+        tuple(ProjectivePoint(tuple(_dot(row, p) for row in adjugate)) for p in ints),
+        cfg.labels)
+    rest = list(mult)
+    for i in frame:
+        rest[i] = 0
+    rows = interpolation_matrix(moved, FatPointSystem(d, tuple(rest)))
+    return len(alive) - exact_rank([[row[j] for j in alive] for row in rows])
 
 
 def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None) -> int:
@@ -226,10 +294,7 @@ def apply_projectivity(cfg: PointConfig, matrix) -> PointConfig:
     """Transform every point by an exact invertible 3x3 matrix; incidence
     assertions carry over (projectivities preserve collinearity)."""
     mat = [[_to_fraction(x) for x in row] for row in matrix]
-    det = (mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-           - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-           + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0]))
-    if det == 0:
+    if _dot(_cross(mat[0], mat[1]), mat[2]) == 0:
         raise ValueError("projectivity matrix is singular")
     new_points = tuple(
         ProjectivePoint(tuple(sum(mat[r][c] * p.coords[c] for c in range(3))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicanonical import cli, fermat, proofcheck
+from bicanonical import cli, fermat, linsys, proofcheck
 
 
 def run_cli(capsys, *argv):
@@ -506,7 +506,34 @@ def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
 def test_linsys_size_caps(tmp_path, capsys, system, message):
     payload = {"kind": "linsys", "systems": [system]}
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
-    assert (code, out) == (1, f"error: validation failed: {message}\n")
+    assert (code, out) == (1, f"error: validation failed: $.systems[0]: {message}\n")
+
+
+def test_linsys_system_errors_name_their_path(tmp_path, capsys):
+    payload = {"kind": "linsys", "systems": [{"degree": 2, "multiplicities": {}},
+                                             {"degree": 13, "multiplicities": {}}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: validation failed: $.systems[1]: "
+                              "degree must be between 0 and 12, got 13\n")
+
+
+@pytest.mark.parametrize("point, accepted", [
+    ([65536, 1, 0], True), (["1/65536", 1, 1], True), ([131072, 2, 0], True),
+    ([65537, 1, 0], False), (["1/65537", 1, 1], False), ([131074, 2, 0], False),
+    ([0, -65537, 1], False),
+])
+def test_point_coordinates_are_capped(tmp_path, capsys, point, accepted):
+    # the cap applies to the coprime integer coordinates: 131072/2 scales
+    # down to 65536, and 1/65537 up to 65537
+    assert linsys.MAX_COORDINATE == 65536
+    payload = {"kind": "linsys", "points": [[1, 0, 0], point, [1, 2, 3]],
+               "systems": [{"degree": 4, "multiplicities": {"P1": 2, "P2": 2, "P3": 2}}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    if accepted:
+        assert (code, out.splitlines()[-1]) == (0, "h⁰(degree 4 with multiplicities 2,2,2) = 6")
+    else:
+        assert (code, out) == (1, "error: $.points[1]: coprime integer coordinates "
+                                  "exceed the limit of 65536\n")
 
 
 def test_z22_h0_calls_are_capped(tmp_path, capsys):

@@ -175,3 +175,11 @@ def test_report_builds_the_automorphism_once_beside_the_weight_check(monkeypatch
     monkeypatch.setattr(fermat, "fermat_psi", lambda: built.append(1) or real())
     assert fermat.fermat_report().kernel.order == 1
     assert len(built) == 2  # the report's own, and verify_weight_derivation's
+
+
+def test_report_lists_the_invariant_monomials_once(monkeypatch):
+    calls = []
+    real = fermat.invariant_monomials
+    monkeypatch.setattr(fermat, "invariant_monomials", lambda: calls.append(1) or real())
+    assert len(fermat.fermat_report().monomials) == 9
+    assert len(calls) == 1

@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import perm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bicanonical.exactlinalg import exact_rank
 from bicanonical.linsys import (FatPointSystem, PointConfig, ProjectivePoint,
                                 apply_projectivity, collinear, h0_class,
                                 h0_fat_points, interpolation_matrix,
@@ -300,3 +301,77 @@ def test_fixed_components_are_capped_before_any_is_stripped(cfg, lat):
     with pytest.raises(ValueError, match="fixed components exceed"):
         h0_class(cfg, lat.cls({"l": 2, "e1": 3_000_000, "e2": 1}), trace=trace)
     assert trace == []
+
+
+def unframed_h0(cfg, system):
+    """The integer route without a frame: every condition of every point,
+    eliminated over all degree-d monomials."""
+    n_monomials = (system.degree + 1) * (system.degree + 2) // 2
+    return n_monomials - exact_rank(interpolation_matrix(cfg, system))
+
+
+def _framed_case(coords, d, mult):
+    points = tuple(ProjectivePoint.of(*c) for c in coords)
+    return (PointConfig(points, tuple(f"P{i}" for i in range(len(points)))),
+            FatPointSystem(d, tuple(mult)))
+
+
+_VERTICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@st.composite
+def framed_cases(draw):
+    """4-10 distinct points and a system with d in 0..8, m in 0..5.
+
+    Layouts: free points; the three heaviest points collinear; all points
+    on one line.  Some points are moved to the coordinate vertices, and
+    sometimes fewer than three points have m > 0.
+    """
+    n = draw(st.integers(4, 10))
+    p, q = draw(_point), draw(_point)
+    assume(not ProjectivePoint.of(*p).same_point(ProjectivePoint.of(*q)))
+    layout = draw(st.sampled_from(("free", "collinear-heaviest", "one-line")))
+    if layout == "one-line":
+        ts = draw(st.lists(_nonzero, min_size=n - 2, max_size=n - 2, unique=True))
+        coords = [p, q] + [tuple(a + t * b for a, b in zip(p, q)) for t in ts]
+    else:
+        coords = [p, q] + draw(st.lists(_point, min_size=n - 2, max_size=n - 2))
+        if layout == "collinear-heaviest":
+            lam, mu = draw(st.tuples(_nonzero, _nonzero))
+            coords[2] = tuple(lam * a + mu * b for a, b in zip(p, q))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        coords[i] = draw(st.sampled_from(_VERTICES))
+    distinct = []
+    for c in coords:
+        if any(c) and not any(ProjectivePoint.of(*c).same_point(ProjectivePoint.of(*o))
+                              for o in distinct):
+            distinct.append(c)
+    assume(len(distinct) >= 4)
+    d = draw(st.integers(0, 8))
+    near = sorted({min(d + 1, 5), min(d + 2, 5)})
+    mult = draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from(near)),
+                         min_size=len(distinct), max_size=len(distinct)))
+    if layout == "collinear-heaviest":  # heaviest first, ties by index
+        mult = sorted(mult, reverse=True)
+    n_active = draw(st.one_of(st.just(len(distinct)), st.integers(0, 2)))
+    mult[n_active:] = [0] * (len(distinct) - n_active)
+    return _framed_case(distinct, d, mult)
+
+
+@given(framed_cases())
+# the three heaviest points collinear: the third is skipped for the next one
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 3), (2, -1, 1)],
+                      4, (3, 3, 3, 2, 1)))
+# points at the vertices, one of them unused, and the heaviest points on a line
+@example(_framed_case([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)],
+                      5, (0, 3, 3, 3, 1)))
+# all points on one line, every one double
+@example(_framed_case([(1, 0, 1), (0, 1, 1), (1, 1, 2), (1, -1, 0), (2, 1, 3)],
+                      4, (2, 2, 2, 2, 2)))
+# m >= d + 1 at one point, fewer than three points with m > 0
+@example(_framed_case([(1, 2, 0), (3, 0, Fraction(1, 7)), (1, 1, 1), (2, 3, 5)],
+                      3, (4, 1, 0, 0)))
+@settings(max_examples=120, deadline=None)
+def test_frame_matches_the_unframed_route(case):
+    cfg, system = case
+    assert h0_fat_points(cfg, system) == unframed_h0(cfg, system)
