@@ -637,7 +637,10 @@ def _linsys_config(payload):
     if "points" in payload:
         pts = []
         for i, coords in enumerate(payload["points"]):
-            point = linsys.ProjectivePoint.of(*coords)
+            try:
+                point = linsys.ProjectivePoint.of(*coords)
+            except ValueError as exc:
+                raise ValueError(f"$.points[{i}]: {exc}") from exc
             if max(map(abs, linsys.integer_coords(point))) > linsys.MAX_COORDINATE:
                 raise ScenarioError(f"$.points[{i}]: coprime integer coordinates exceed "
                                     f"the limit of {linsys.MAX_COORDINATE}")

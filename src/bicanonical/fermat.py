@@ -76,40 +76,69 @@ def all_bimonomials() -> list[BiMonomial]:
             for a in range(5) for b in range(5 - a)]
 
 
+def weight_coefficients(i: int, j: int, alpha: int, beta: int) -> tuple[int, int]:
+    """The closed weight formula: the monomial of exponents (i, j; alpha,
+    beta) picks up the exponent a A + b B (mod 5) under the graph action of
+    (a, b), for the returned (A, B).  The one home of the formula, used by
+    weight(), invariant_monomials() and the exhaustive check."""
+    return 2 + i + alpha - beta, 3 + j + alpha + 2 * beta
+
+
 def weight(a: int, b: int, m: BiMonomial) -> int:
     """Root-of-unity exponent picked up by the monomial under the graph
     action of the group element (a, b)."""
-    return (a * (2 + m.i + m.alpha - m.beta) + b * (3 + m.j + m.alpha + 2 * m.beta)) % 5
+    A, B = weight_coefficients(m.i, m.j, m.alpha, m.beta)
+    return (a * A + b * B) % 5
+
+
+def factor_weight(u, i: int, j: int) -> int:
+    """First-principles weight of u = (a, b) on one quintic: a bicanonical
+    monomial of exponents (i, j) transforms with exponent a(i+2) + b(j+2),
+    because a regular 1-form is the residue of g/(quintic) dx dy dz with
+    deg g = 2 and the volume form itself contributes a + b."""
+    a, b = u
+    return (a * (i + 2) + b * (j + 2)) % 5
 
 
 def product_action_weight(u, v, i: int, j: int, alpha: int, beta: int) -> int:
     """First-principles weight of the element (u, v) of G x G acting
-    factorwise: a bicanonical monomial of exponents (i, j) on one quintic
-    transforms with exponent a(i+2) + b(j+2) under (a, b), because a regular
-    1-form is the residue of g/(quintic) dx dy dz with deg g = 2 and the
-    volume form itself contributes a + b."""
-    (a1, b1), (a2, b2) = u, v
-    return (a1 * (i + 2) + b1 * (j + 2) + a2 * (alpha + 2) + b2 * (beta + 2)) % 5
+    factorwise: the sum of the two factor weights."""
+    return (factor_weight(u, i, j) + factor_weight(v, alpha, beta)) % 5
 
 
 def verify_weight_derivation() -> bool:
     """Check, exhaustively over all residues mod 5, that the closed weight
-    formula agrees with the factorwise action of (g, psi(g))."""
+    formula agrees with the factorwise action of (g, psi(g)).
+
+    All 5^6 tuples (a, b, i, j, alpha, beta) are compared directly.  The
+    closed coefficients (A, B) of the 625 exponent tuples are computed once;
+    for each of the 25 elements g the 625 direct weights are the sums of the
+    25-entry factor tables of g and psi(g), compared with the 625 closed
+    values a A + b B in one list comparison."""
     psi = fermat_psi()
-    image = {g.coords: psi(g).coords for g in FERMAT_GROUP.elements()}
-    for a, b, i, j, alpha, beta in itertools.product(range(5), repeat=6):
-        direct = product_action_weight((a, b), image[a, b], i, j, alpha, beta)
-        closed = (a * (2 + i + alpha - beta) + b * (3 + j + alpha + 2 * beta)) % 5
-        if direct != closed:
+    residues = list(itertools.product(range(5), repeat=2))
+    coefficients = [weight_coefficients(i, j, alpha, beta)
+                    for i, j in residues for alpha, beta in residues]
+    for g in FERMAT_GROUP.elements():
+        u, v = g.coords, psi(g).coords
+        a, b = u
+        left = [factor_weight(u, i, j) for i, j in residues]
+        right = [factor_weight(v, alpha, beta) for alpha, beta in residues]
+        direct = [(x + y) % 5 for x in left for y in right]
+        if direct != [(a * A + b * B) % 5 for A, B in coefficients]:
             return False
     return True
 
 
 def invariant_monomials() -> list[BiMonomial]:
-    """The monomials invariant under the whole graph action (weight 0 for the
-    two generators suffices, hence for all 25 elements)."""
-    return [m for m in all_bimonomials()
-            if weight(1, 0, m) == 0 and weight(0, 1, m) == 0]
+    """The monomials invariant under the whole graph action: both closed
+    coefficients vanish mod 5 (weight 0 for the two generators suffices,
+    hence for all 25 elements).  Only the survivors become BiMonomials."""
+    return [BiMonomial(i, j, alpha, beta)
+            for i in range(5) for j in range(5 - i)
+            for alpha in range(5) for beta in range(5 - alpha)
+            for A, B in [weight_coefficients(i, j, alpha, beta)]
+            if A % 5 == 0 and B % 5 == 0]
 
 
 @dataclass(frozen=True)
@@ -179,14 +208,19 @@ def builtin_ratio_identities(monomials=None) -> list[
         tuple[str, RatioVector, list[tuple[BiMonomial, int]]]]:
     """The two displayed factorisations of the quotient-map coordinate
     functions as products of invariant monomials (taken from `monomials`,
-    invariant_monomials() when not given)."""
+    invariant_monomials() when not given).  A named monomial that is not
+    among them is an InternalInconsistency: the weight formula has drifted."""
     ms = invariant_monomials() if monomials is None else monomials
     m = {str(mono): mono for mono in ms}
-    first = [(m["x^3*y*x1^2*y1^2"], 1), (m["x^4*y1*z1^3"], 1),
-             (m["x^2*y*z*x1*z1^3"], -1), (m["z^4*x1*y1^3"], -1)]
-    second = [(m["z^4*x1*y1^3"], 2), (m["y^3*z*y1^2*z1^2"], 1),
-              (m["x^3*y*x1^2*y1^2"], 2), (m["x^2*y*z*x1*z1^3"], -1),
-              (m["x*y*z^2*y1^3*z1"], -4)]
+    try:
+        first = [(m["x^3*y*x1^2*y1^2"], 1), (m["x^4*y1*z1^3"], 1),
+                 (m["x^2*y*z*x1*z1^3"], -1), (m["z^4*x1*y1^3"], -1)]
+        second = [(m["z^4*x1*y1^3"], 2), (m["y^3*z*y1^2*z1^2"], 1),
+                  (m["x^3*y*x1^2*y1^2"], 2), (m["x^2*y*z*x1*z1^3"], -1),
+                  (m["x*y*z^2*y1^3*z1"], -4)]
+    except KeyError as exc:
+        raise InternalInconsistency(f"the ratio identities use {exc.args[0]}, "
+                                    "which is not an invariant monomial") from None
     return [("x^5/z^5", x5_over_z5(), first),
             ("x1^5/z1^5", x1_5_over_z1_5(), second)]
 

@@ -100,13 +100,21 @@ class AbelianGroup:
         return [Character._of(self, coords) for coords in self.coordinate_vectors()]
 
     def square(self) -> "AbelianGroup":
-        """The product group G x G (used for graphs of automorphisms)."""
-        return AbelianGroup(self.moduli * 2)
+        """The product group G x G (used for graphs of automorphisms), built
+        once per group."""
+        return self._square
+
+    @cached_property
+    def _square(self) -> "AbelianGroup":
+        square = AbelianGroup(self.moduli * 2)
+        square.__dict__["half"] = self   # halves of pairs live in this very group
+        return square
 
     @cached_property
     def half(self) -> "AbelianGroup":
         """G, when this group is G x G; built once per group, so the halves
-        of residue vectors of G x G share it."""
+        of residue vectors of G x G share it (for a square(), it is the
+        squared group itself)."""
         n = len(self.moduli) // 2
         if n == 0 or self.moduli != self.moduli[:n] * 2:
             raise GroupError(f"{self.moduli} is not a product group G x G")

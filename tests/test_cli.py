@@ -383,7 +383,8 @@ def test_zero_denominator_coordinate_is_an_input_error(tmp_path, capsys, coordin
                "systems": [{"degree": 2, "multiplicities": {}}]}
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert code == 1
-    assert out == f"error: validation failed: point coordinate {coordinate!r} has a zero denominator\n"
+    assert out == (f"error: validation failed: $.points[0]: point coordinate {coordinate!r} "
+                   "has a zero denominator\n")
 
 
 @pytest.mark.parametrize("payload, path", [
@@ -439,6 +440,16 @@ def test_failed_fermat_identity_exits_2_with_its_partial_report(capsys, monkeypa
     code, out = run_cli(capsys, "run", "fermat-z52")
     assert code == 2
     assert "weight formula derivation: FAILED" in out
+
+
+def test_drifted_weight_formula_exits_2(capsys, monkeypatch):
+    # +beta for -beta: the check fails, and so does the invariance of the
+    # monomials that the ratio identities name
+    monkeypatch.setattr(fermat, "weight_coefficients",
+                        lambda i, j, alpha, beta: (2 + i + alpha + beta, 3 + j + alpha + 2 * beta))
+    code, out = run_cli(capsys, "run", "fermat-z52")
+    assert (code, out) == (2, "error: internal inconsistency: the ratio identities use "
+                              "x^3*y*x1^2*y1^2, which is not an invariant monomial\n")
 
 
 def test_drifted_proofcheck_value_exits_2(capsys, monkeypatch):
@@ -722,5 +733,5 @@ def test_coordinate_other_than_integer_or_fraction_exits_1_at_once(tmp_path, cap
     start = time.perf_counter()
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert time.perf_counter() - start < 1
-    assert (code, out) == (1, f"error: validation failed: point coordinate {coordinate!r} "
-                              "is not an integer or a fraction p/q\n")
+    assert (code, out) == (1, f"error: validation failed: $.points[0]: point coordinate "
+                              f"{coordinate!r} is not an integer or a fraction p/q\n")

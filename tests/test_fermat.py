@@ -70,6 +70,34 @@ def test_weight_formula_derivation():
     assert verify_weight_derivation()
 
 
+def test_weight_uses_the_closed_coefficients(monkeypatch):
+    monkeypatch.setattr(fermat, "weight_coefficients", lambda i, j, alpha, beta: (1, 0))
+    assert weight(1, 0, BiMonomial(0, 0, 0, 0)) == 1
+    assert invariant_monomials() == []
+
+
+# a global drift (+beta for -beta), and a drift at the single residue tuple
+# (4, 4, 4, 4), which is no monomial (i + j > 4): the check is exhaustive
+@pytest.mark.parametrize("drift", [
+    lambda i, j, alpha, beta: (2 + i + alpha + beta, 3 + j + alpha + 2 * beta),
+    lambda i, j, alpha, beta: (2 + i + alpha - beta + (i == j == alpha == beta == 4),
+                               3 + j + alpha + 2 * beta),
+], ids=["sign", "one-tuple"])
+def test_drifted_weight_coefficients_fail_the_check(monkeypatch, drift):
+    monkeypatch.setattr(fermat, "weight_coefficients", drift)
+    assert not verify_weight_derivation()
+
+
+@pytest.mark.parametrize("drift", [
+    lambda u, i, j: (u[0] * (i + 2) + u[1] * (j + 3)) % 5,
+    lambda u, i, j: (u[0] * (i + 2) + u[1] * (j + 2) + (u == (4, 4) and i == j == 4)) % 5,
+], ids=["sign", "one-tuple"])
+def test_drifted_factor_weight_fails_the_check(monkeypatch, drift):
+    monkeypatch.setattr(fermat, "factor_weight", drift)
+    assert not verify_weight_derivation()
+
+
+
 def test_riemann_roch_count():
     # 9 = chi + K^2 of the quotient surface
     assert len(invariant_monomials()) == 1 + 8

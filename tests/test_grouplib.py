@@ -183,6 +183,17 @@ def test_pair_and_split_roundtrip():
             split_element(make_group(moduli).zero())
 
 
+def test_square_is_built_once_and_pairs_split_into_its_group():
+    G = make_group([5, 5])
+    assert G.square() is G.square()
+    a, b = G.element([1, 2]), G.element([3, 4])
+    first, second = split_element(pair_elements(a, b)), split_element(pair_elements(b, a))
+    assert first[0].group is first[1].group is second[0].group is G
+    assert split_character(G.square().character([1, 0, 1, 1]))[0].group is G
+    # an equal group built apart has its own square, equal to the first
+    assert make_group([5, 5]).square() == G.square()
+
+
 def test_element_names():
     G = make_group([2, 2, 2])
     assert element_name(G.zero()) == "0"
