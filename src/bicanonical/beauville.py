@@ -19,7 +19,7 @@ from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      genus_from_eigensheaves, make_verdict, rh_genus,
                      validate_building_data)
 from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
-                       common_kernel, graph_subgroup, orthogonal_complement,
+                       common_kernel, graph_complement, graph_subgroup,
                        split_character, split_element)
 
 
@@ -160,8 +160,10 @@ def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
         if genus_from_eigensheaves(table) != g:
             raise InternalInconsistency("eigensheaf table disagrees with Riemann-Hurwitz")
 
+    # Gamma-perp comes straight from psi; the graph itself is kept for the
+    # descent check of induced_character, a second route to Gamma-perp
     graph = graph_subgroup(spec.psi)
-    gamma_perp = orthogonal_complement(graph)
+    gamma_perp = graph_complement(spec.psi)
     entries = []
     for chi_pair in gamma_perp.elements():
         chi1, chi2 = split_character(chi_pair)

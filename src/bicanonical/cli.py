@@ -16,8 +16,9 @@ Exit codes are chosen in run_scenario alone.  0: success.  1: bad input,
 either a ScenarioError for what the command line checks itself (file, JSON,
 schema, kind, group order, point coordinate size, branch entries, unknown
 names) or a ValueError from the library (InvalidCoverData, GroupError,
-LatticeMismatch, the linsys size caps; run_linsys prefixes the path
-$.systems[i] of the system that raised it); invalid building data reads
+LatticeMismatch, the linsys size caps).  An error raised while one entry
+of the payload is read is prefixed with that entry's JSON path (_at), as in
+$.systems[i] or $.curve1.branch[i]; invalid building data reads
 "<what> building data invalid, failed relation: <name> (<detail>)".
 2: a failed consistency identity, raised as covers.InternalInconsistency
 or as a FailedReport carrying the partial report that is printed.
@@ -343,6 +344,15 @@ def validate_payload(payload) -> str:
     return kind
 
 
+def _at(path: str, exc: Exception) -> Exception:
+    """The input error exc, raised while the entry at a JSON path was read,
+    with the path prefixed to its message.  It keeps its kind, so a library
+    error still reads "validation failed: <path>: ..." and keeps exit 1."""
+    if isinstance(exc, ScenarioError):
+        return ScenarioError(f"{path}: {exc}", exc.exit_code)
+    return ValueError(f"{path}: {exc}")
+
+
 def _flag(value) -> str:
     return str(value).lower()
 
@@ -385,15 +395,21 @@ def _resolve_divisor(spec, catalog):
 def run_z22(payload, verbose=False):
     catalog = piclattice.quadrilateral_catalog()
     cfg = linsys.quadrilateral_config()
-    branch, components = [], []
+    branch, components, bundles = [], [], []
     for key in ("D1", "D2", "D3"):
-        cls, parts = _resolve_divisor(payload["branch"][key], catalog)
+        try:
+            cls, parts = _resolve_divisor(payload["branch"][key], catalog)
+        except (ScenarioError, ValueError) as exc:
+            raise _at(f"$.branch.{key}", exc) from exc
         branch.append(cls)
         components.append(parts)
     comps = tuple(components) if all(p is not None for p in components) else None
-    L1 = catalog.lattice.cls(payload["line_bundles"]["L1"])
-    L2 = catalog.lattice.cls(payload["line_bundles"]["L2"])
-    data = covers.BranchDataSurface(catalog.lattice, branch, (L1, L2), components=comps)
+    for key in ("L1", "L2"):
+        try:
+            bundles.append(catalog.lattice.cls(payload["line_bundles"][key]))
+        except ValueError as exc:
+            raise _at(f"$.line_bundles.{key}", exc) from exc
+    data = covers.BranchDataSurface(catalog.lattice, branch, bundles, components=comps)
 
     validation = covers.validate_building_data(data).require(covers.Z22_COVER)
     result = {"validation": {"ok": True, "checks": _checks(validation)}}
@@ -439,22 +455,31 @@ def render_z22(result, verbose=False):
 
 # ---------------------------------------------------------- product quotient
 
-def _build_curve(group, spec):
+def _build_curve(group, spec, path):
     entries = {}
-    for item in spec["branch"]:
-        gamma = group.element(item["element"])
-        if "points" in item and "degree" in item:
-            raise ScenarioError("give either points or a degree for a branch divisor, not both")
-        if "points" in item:
-            value = tuple(item["points"])
-        elif "degree" in item:
-            value = item["degree"]
-        else:
-            raise ScenarioError("a branch entry needs points or a degree")
-        if gamma in entries:
-            raise ScenarioError(f"duplicate branch element {item['element']}")
+    for i, item in enumerate(spec["branch"]):
+        try:
+            gamma = group.element(item["element"])
+            if "points" in item and "degree" in item:
+                raise ScenarioError(
+                    "give either points or a degree for a branch divisor, not both")
+            if "points" in item:
+                value = tuple(item["points"])
+            elif "degree" in item:
+                value = item["degree"]
+            else:
+                raise ScenarioError("a branch entry needs points or a degree")
+            if gamma in entries:
+                raise ScenarioError(f"duplicate branch element {item['element']}")
+        except (ScenarioError, ValueError) as exc:
+            raise _at(f"{path}.branch[{i}]", exc) from exc
         entries[gamma] = value
-    return covers.BranchDataP1(group, entries, line_bundles=spec["line_bundles"])
+    try:
+        return covers.BranchDataP1(group, entries, line_bundles=spec["line_bundles"])
+    except covers.InvalidBranchDivisor as exc:   # entries keeps the order of the branch list
+        raise _at(f"{path}.branch[{list(entries).index(exc.element)}]", exc) from exc
+    except covers.InvalidCoverData as exc:       # what is left is the line-bundle count
+        raise _at(f"{path}.line_bundles", exc) from exc
 
 
 def run_product_quotient(payload, verbose=False):
@@ -463,8 +488,11 @@ def run_product_quotient(payload, verbose=False):
         raise ScenarioError(
             f"$.group: group order {order} exceeds the limit of {MAX_GROUP_ORDER}")
     group = make_group(payload["group"])
-    psi = Automorphism.from_images(group, payload["automorphism"])
-    curves = [_build_curve(group, payload["curve1"]), _build_curve(group, payload["curve2"])]
+    try:
+        psi = Automorphism.from_images(group, payload["automorphism"])
+    except ValueError as exc:
+        raise _at("$.automorphism", exc) from exc
+    curves = [_build_curve(group, payload[key], f"$.{key}") for key in ("curve1", "curve2")]
 
     building_data = []
     for number, data in enumerate(curves, 1):
@@ -640,7 +668,7 @@ def _linsys_config(payload):
             try:
                 point = linsys.ProjectivePoint.of(*coords)
             except ValueError as exc:
-                raise ValueError(f"$.points[{i}]: {exc}") from exc
+                raise _at(f"$.points[{i}]", exc) from exc
             if max(map(abs, linsys.integer_coords(point))) > linsys.MAX_COORDINATE:
                 raise ScenarioError(f"$.points[{i}]: coprime integer coordinates exceed "
                                     f"the limit of {linsys.MAX_COORDINATE}")
@@ -677,8 +705,8 @@ def run_linsys(payload, verbose=False):
     for i, spec in enumerate(payload["systems"]):
         try:
             systems.append(_linsys_system(cfg, lat, spec))
-        except ValueError as exc:
-            raise ValueError(f"$.systems[{i}]: {exc}") from exc
+        except (ScenarioError, ValueError) as exc:
+            raise _at(f"$.systems[{i}]", exc) from exc
     return {"systems": systems}
 
 

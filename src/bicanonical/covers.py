@@ -22,13 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
-from .grouplib import AbelianGroup, Character, GroupElement, Subgroup, common_kernel
+from .grouplib import (AbelianGroup, Character, GroupElement, GroupError, Subgroup,
+                       common_kernel)
 from .piclattice import DivisorClass, Lattice, canonical_class
 
 
 class InvalidCoverData(ValueError):
     """Branch data or numeric cover input that fails a validity condition."""
+
+
+class InvalidBranchDivisor(InvalidCoverData):
+    """A branch divisor that fails a validity condition; `element` is the
+    group element indexing it."""
+
+    def __init__(self, message: str, element):
+        super().__init__(message)
+        self.element = element
 
 
 class InternalInconsistency(RuntimeError):
@@ -130,7 +141,9 @@ class BranchDataP1:
     entries maps nonzero group elements to branch divisors, given either as a
     plain degree or as a tuple of distinct point labels; line_bundles holds
     the degrees of L_1..L_n attached to the dual basis characters.  Zero
-    divisors may simply be omitted.
+    divisors may simply be omitted.  The branch elements are also kept as
+    weighted coordinates, so a charged degree is a sum of integer dot
+    products, and the building-data checks run once (`validation`).
     """
 
     def __init__(self, group: AbelianGroup, entries, line_bundles=None):
@@ -141,17 +154,18 @@ class BranchDataP1:
             if not isinstance(gamma, GroupElement) or gamma.group != group:
                 raise InvalidCoverData("branch divisors must be indexed by group elements")
             if gamma.is_zero():
-                raise InvalidCoverData("only nonzero elements carry branch divisors")
+                raise InvalidBranchDivisor("only nonzero elements carry branch divisors", gamma)
             if isinstance(value, int):
                 deg = value
             else:
                 pts = tuple(value)
                 if len(set(pts)) != len(pts):
-                    raise InvalidCoverData(f"repeated branch point in D_{gamma.coords}")
+                    raise InvalidBranchDivisor(f"repeated branch point in D_{gamma.coords}",
+                                               gamma)
                 points[gamma] = pts
                 deg = len(pts)
             if deg < 0:
-                raise InvalidCoverData("a branch divisor has nonnegative degree")
+                raise InvalidBranchDivisor("a branch divisor has nonnegative degree", gamma)
             if deg:
                 degrees[gamma] = deg
         self.degrees = degrees
@@ -159,6 +173,8 @@ class BranchDataP1:
         self.line_bundles = None if line_bundles is None else tuple(int(x) for x in line_bundles)
         if self.line_bundles is not None and len(self.line_bundles) != group.rank:
             raise InvalidCoverData("need one line bundle degree per generator")
+        weights = group.weights
+        self._weighted = [(tuple(map(mul, g.coords, weights)), d) for g, d in degrees.items()]
 
     def total_degree(self) -> int:
         return sum(self.degrees.values())
@@ -167,8 +183,39 @@ class BranchDataP1:
         return self.degrees.get(gamma, 0)
 
     def charged_degree(self, chi: Character) -> int:
-        """Total branch degree on elements outside ker(chi)."""
-        return sum(d for g, d in self.degrees.items() if not chi.annihilates(g))
+        """Total branch degree on elements outside ker(chi): chi(g) is the
+        dot product of chi's coordinates with g's weighted coordinates."""
+        group = self.group
+        if self._weighted and chi.group is not group and chi.group != group:
+            raise GroupError("character paired with an element of another group")
+        coords, ex = chi.coords, group.exponent
+        return sum(d for row, d in self._weighted if sum(map(mul, coords, row)) % ex)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The P^1 building-data checks (see validate_building_data)."""
+        checks = []
+        seen: dict[str, tuple[int, ...]] = {}
+        support_ok, support_detail = True, ""
+        for gamma, pts in self.points.items():
+            for p in pts:
+                if p in seen:
+                    support_ok = False
+                    support_detail = (f"point {p} appears in D_{seen[p]} and in "
+                                      f"D_{gamma.coords}")
+                seen[p] = gamma.coords
+        checks.append(ValidationCheck("branch supports disjoint", support_ok, support_detail))
+        if self.line_bundles is None:
+            checks.append(ValidationCheck("line bundles given", False,
+                                          "no line bundle degrees were supplied"))
+        else:
+            for i, chi in enumerate(_dual_basis(self.group)):
+                charged = self.charged_degree(chi)
+                checks.append(ValidationCheck(
+                    f"2L{i + 1} matches the charged branch degree",
+                    2 * self.line_bundles[i] == charged,
+                    f"2*{self.line_bundles[i]} vs {charged}"))
+        return ValidationReport(tuple(checks))
 
     def sorted_entries(self) -> list[tuple[GroupElement, int]]:
         return sorted(self.degrees.items(), key=lambda item: item[0].coords)
@@ -198,32 +245,10 @@ def validate_building_data(data) -> ValidationReport:
     On P^1 the relations are numeric: 2 deg L_i = charged branch degree for
     each dual basis character, plus disjointness of the supports.  On a
     surface they are exact lattice identities: 2L_1 = D_2 + D_3 and
-    2L_2 = D_1 + D_3.  Failures are reported, not raised.
+    2L_2 = D_1 + D_3.  Failures are reported, not raised.  The data computes
+    its report once, so every call returns the same report.
     """
-    if isinstance(data, BranchDataSurface):
-        return _validate_surface(data)
-    checks = []
-    seen: dict[str, tuple[int, ...]] = {}
-    support_ok, support_detail = True, ""
-    for gamma, pts in data.points.items():
-        for p in pts:
-            if p in seen:
-                support_ok = False
-                support_detail = (f"point {p} appears in D_{seen[p]} and in "
-                                  f"D_{gamma.coords}")
-            seen[p] = gamma.coords
-    checks.append(ValidationCheck("branch supports disjoint", support_ok, support_detail))
-    if data.line_bundles is None:
-        checks.append(ValidationCheck("line bundles given", False,
-                                      "no line bundle degrees were supplied"))
-    else:
-        for i, chi in enumerate(_dual_basis(data.group)):
-            charged = data.charged_degree(chi)
-            ok = 2 * data.line_bundles[i] == charged
-            checks.append(ValidationCheck(
-                f"2L{i + 1} matches the charged branch degree", ok,
-                f"2*{data.line_bundles[i]} vs {charged}"))
-    return ValidationReport(tuple(checks))
+    return data.validation
 
 
 def rh_genus_numeric(cover_degree: int, branch) -> int:
@@ -245,9 +270,14 @@ def rh_genus_numeric(cover_degree: int, branch) -> int:
 
 def rh_genus(data: BranchDataP1) -> int:
     """Genus of the cover curve: each branch point of D_gamma has cyclic
-    inertia generated by gamma."""
-    return rh_genus_numeric(data.group.order,
-                            [(deg, gamma.order()) for gamma, deg in data.degrees.items()])
+    inertia generated by gamma.  This is rh_genus_numeric in integers: the
+    Euler number is 2n - sum of deg * (n - n/ord(gamma)) with n = |G|,
+    exact since ord(gamma) divides n."""
+    n = data.group.order
+    chi_top = 2 * n - sum(deg * (n - n // gamma.order()) for gamma, deg in data.degrees.items())
+    if chi_top % 2 != 0:
+        raise InvalidCoverData("Riemann-Hurwitz gives an odd Euler number")
+    return (2 - chi_top) // 2
 
 
 @dataclass(frozen=True)
@@ -329,22 +359,23 @@ class BranchDataSurface:
     def total_branch(self) -> DivisorClass:
         return self.D[0] + self.D[1] + self.D[2]
 
-
-def _validate_surface(data: BranchDataSurface) -> ValidationReport:
-    checks = []
-    relations = ((0, "2L1 = D2 + D3", 2 * data.L[0], data.D[1] + data.D[2]),
-                 (1, "2L2 = D1 + D3", 2 * data.L[1], data.D[0] + data.D[2]))
-    for _, name, lhs, rhs in relations:
-        checks.append(ValidationCheck(name, lhs == rhs, f"{lhs} vs {rhs}"))
-    if data.components is not None:
-        for i, parts in enumerate(data.components):
-            total = data.lattice.zero()
-            for part in parts:
-                total = total + part
-            checks.append(ValidationCheck(
-                f"components of D{i + 1} sum to D{i + 1}", total == data.D[i],
-                f"{total} vs {data.D[i]}"))
-    return ValidationReport(tuple(checks))
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The surface building-data checks (see validate_building_data)."""
+        checks = []
+        relations = (("2L1 = D2 + D3", 2 * self.L[0], self.D[1] + self.D[2]),
+                     ("2L2 = D1 + D3", 2 * self.L[1], self.D[0] + self.D[2]))
+        for name, lhs, rhs in relations:
+            checks.append(ValidationCheck(name, lhs == rhs, f"{lhs} vs {rhs}"))
+        if self.components is not None:
+            for i, parts in enumerate(self.components):
+                total = self.lattice.zero()
+                for part in parts:
+                    total = total + part
+                checks.append(ValidationCheck(
+                    f"components of D{i + 1} sum to D{i + 1}", total == self.D[i],
+                    f"{total} vs {self.D[i]}"))
+        return ValidationReport(tuple(checks))
 
 
 def z22_surface_cover_invariants(data: BranchDataSurface, h0) -> CoverInvariants:

@@ -14,9 +14,13 @@ saturating with +gen and -gen.  A character kills a
 subgroup iff it kills its generators, so an orthogonal complement or a common
 kernel is one scan of the coordinate vectors of the group, filtered by the
 generators' weighted coordinates; group objects are built only for the
-members that survive.  Arithmetic results are reduced by construction and
-skip the checks of the public constructors.  The command line caps the
-group order at MAX_GROUP_ORDER.
+members that survive.  The complement of the graph of an automorphism psi,
+whose scan would cover all of G x G, is instead written down from psi
+(graph_complement): it is {(-(chi o psi), chi)}, |G| characters generated
+by rank(G) of them.  Arithmetic results are reduced by construction and
+skip the checks of the public constructors, and an automorphism checks its
+bijectivity on raw coordinate tuples.  The command line caps the group
+order at MAX_GROUP_ORDER.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from math import gcd, lcm
 from operator import add, mod, mul
 
 # the largest group order a scenario may ask for: Automorphism and
-# common_kernel enumerate the whole group, and the product-quotient
-# complement scans G x G, of order up to 625^2
+# common_kernel enumerate the whole group
 MAX_GROUP_ORDER = 625
 
 
@@ -229,7 +232,7 @@ class Automorphism:
                 # be killed by m_j
                 if (moduli[j] * self.matrix[i][j]) % moduli[i] != 0:
                     raise GroupError("matrix does not define a homomorphism")
-        images = {self(g) for g in self.group.elements()}
+        images = {self._image(coords) for coords in self.group.coordinate_vectors()}
         if len(images) != self.group.order:
             raise GroupError("matrix is not invertible over the group")
 
@@ -247,11 +250,15 @@ class Automorphism:
     def identity(cls, group: AbelianGroup) -> "Automorphism":
         return cls.from_images(group, [g.coords for g in group.generators()])
 
+    def _image(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """The reduced coordinates of the image of an element's coordinates."""
+        return tuple(sum(map(mul, row, coords)) % m
+                     for row, m in zip(self.matrix, self.group.moduli))
+
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.group != self.group:
             raise GroupError("element of a different group")
-        return GroupElement._of(self.group, tuple(
-            sum(map(mul, row, g.coords)) % m for row, m in zip(self.matrix, self.group.moduli)))
+        return GroupElement._of(self.group, self._image(g.coords))
 
     def inverse(self) -> "Automorphism":
         lookup = {self(g): g for g in self.group.elements()}
@@ -320,6 +327,23 @@ def graph_subgroup(psi: Automorphism) -> Subgroup:
     graph = Subgroup(psi.group.square(), gens)
     assert graph.order == psi.group.order
     return graph
+
+
+def graph_complement(psi: Automorphism) -> Subgroup:
+    """Gamma-perp for the graph Gamma of psi, without scanning G x G.
+
+    (chi1, chi2) kills every (g, psi(g)) iff chi1 = -(chi2 o psi), so
+    Gamma-perp = {(-(chi o psi), chi)}, generated by the pairs of the dual
+    basis characters e_i.  Coordinate j of e_i o psi is M[i][j] m_j / m_i
+    modulo m_j, an integer by the homomorphism check of Automorphism."""
+    group = psi.group
+    moduli, n = group.moduli, group.rank
+    gens = []
+    for i, row in enumerate(psi.matrix):
+        minus_pullback = tuple(-row[j] * moduli[j] // moduli[i] % moduli[j] for j in range(n))
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        gens.append(Character._of(group.square(), minus_pullback + unit))
+    return Subgroup(group.square(), gens)
 
 
 def pair_elements(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -307,6 +307,61 @@ def test_mis_sized_group_vectors_fail_validation(tmp_path, capsys, mutate, messa
     assert message in out
 
 
+def _set_branch(curve, index, **fields):
+    def mutate(payload):
+        payload[curve]["branch"][index].update(fields)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set_branch("curve1", 0, element=[1, 0, 0, 1]), "validation failed: $.curve1.branch[0]: "
+     "coordinate length does not match the group rank"),
+    (_set_branch("curve2", 1, element=[0, 0, 0]), "validation failed: $.curve2.branch[1]: "
+     "only nonzero elements carry branch divisors"),
+    (_set_branch("curve1", 2, points=["a", "a"]), "validation failed: $.curve1.branch[2]: "
+     "repeated branch point in D_(0, 0, 1)"),
+    (_set_branch("curve1", 1, degree=2), "$.curve1.branch[1]: "
+     "give either points or a degree for a branch divisor, not both"),
+    (lambda p: p["curve2"]["branch"][0].pop("points"),
+     "$.curve2.branch[0]: a branch entry needs points or a degree"),
+    (lambda p: p["curve1"]["branch"].append({"element": [1, 0, 0], "degree": 2}),
+     "$.curve1.branch[3]: duplicate branch element [1, 0, 0]"),
+    (lambda p: p["curve2"]["line_bundles"].append(1), "validation failed: "
+     "$.curve2.line_bundles: need one line bundle degree per generator"),
+    (lambda p: p.update(automorphism=[[1, 0, 0], [1, 0, 0], [0, 0, 1]]),
+     "validation failed: $.automorphism: matrix is not invertible over the group"),
+    (lambda p: p.update(group=[2, 4, 2], automorphism=[[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
+     "validation failed: $.automorphism: matrix does not define a homomorphism"),
+], ids=["long-element", "zero-element", "repeated-point", "points-and-degree",
+        "no-points-or-degree", "duplicate-element", "line-bundle-count", "singular",
+        "not-a-homomorphism"])
+def test_product_quotient_input_errors_name_their_path(tmp_path, capsys, mutate, message):
+    payload = builtin_payload("beauville8")
+    mutate(payload)
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("branch", {"D2": ["nope"]}, "$.branch.D2: unknown catalog divisor 'nope'"),
+    ("branch", {"D1": {"zz": 1}}, "validation failed: $.branch.D1: unknown basis labels ['zz']"),
+    ("line_bundles", {"L1": {"zz": 1}},
+     "validation failed: $.line_bundles.L1: unknown basis labels ['zz']"),
+], ids=["catalog-name", "branch-label", "bundle-label"])
+def test_z22_input_errors_name_their_path(tmp_path, capsys, field, value, message):
+    payload = builtin_payload("inoue7")
+    payload[field].update(value)
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, f"error: {message}\n")
+
+
+def test_linsys_unknown_point_label_names_its_system(tmp_path, capsys):
+    payload = {"kind": "linsys", "systems": [{"degree": 2, "multiplicities": {}},
+                                             {"degree": 2, "multiplicities": {"Q": 1}}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: $.systems[1]: unknown point label 'Q'\n")
+
+
 @pytest.mark.parametrize("op", [
     {"op": "intersect", "a": {"l": 1}},
     {"op": "pullback", "a": {"l": 1}, "b": {"l": 1}},

@@ -1,9 +1,12 @@
+import time
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bicanonical.grouplib import (Automorphism, GroupError, Subgroup,
-                                  common_kernel, element_name,
+                                  common_kernel, element_name, graph_complement,
                                   graph_subgroup, make_group, orthogonal_complement,
                                   pair_elements, split_character, split_element)
 
@@ -273,3 +276,44 @@ def test_generator_arithmetic_matches_exhaustive_saturation(case):
     assert orthogonal_complement(kernel) == span
     for chi in chars[:2]:
         assert chi.kernel().members == _scan_kernel(G, [chi])
+
+
+# Groups whose moduli differ, so that the dual of an automorphism matrix
+# rescales entry (i, j) by m_j / m_i, beside square ones.
+_MIXED_MODULI = [(4, 2), (2, 4), (3, 9), (25, 5), (2, 2, 2, 2), (2, 6), (4, 4), (7,)]
+
+
+@st.composite
+def _automorphisms(draw):
+    """A random automorphism: entry (i, j) is a multiple of m_i / gcd(m_i, m_j),
+    which is what makes the matrix a homomorphism; singular draws are
+    rejected."""
+    moduli = draw(st.sampled_from(_MIXED_MODULI))
+    matrix = tuple(tuple(draw(st.integers(0, mi - 1)) * (mi // gcd(mi, mj)) % mi
+                         for mj in moduli) for mi in moduli)
+    try:
+        return Automorphism(make_group(moduli), matrix)
+    except GroupError:
+        assume(False)
+
+
+@given(_automorphisms())
+@example(Automorphism.from_images(make_group([2, 4]), [(1, 2), (1, 1)]))
+@example(Automorphism.from_images(make_group([4, 2]), [(1, 1), (2, 1)]))
+@example(Automorphism.from_images(make_group([25, 5]), [(1, 1), (5, 1)]))
+@settings(max_examples=120, deadline=None)
+def test_graph_complement_matches_the_scan_of_g_x_g(psi):
+    perp = graph_complement(psi)
+    assert perp == orthogonal_complement(graph_subgroup(psi))
+    assert perp.dual and perp.order == psi.group.order
+
+
+def test_graph_complement_at_the_order_cap_is_fast():
+    psi = Automorphism.identity(make_group([2] * 9))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        perp = graph_complement(psi)
+        times.append(time.perf_counter() - start)
+    assert perp.order == 512
+    assert min(times) < 0.050

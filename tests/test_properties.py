@@ -5,14 +5,15 @@ K^2 + chi = 9."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicanonical.beauville import (ProductQuotientSpec, bicanonical_report,
                                    fixed_point_elements, is_free)
-from bicanonical.covers import (BranchDataP1, dual_basis_degrees, eigensheaf_degrees,
-                                genus_from_eigensheaves, rh_genus,
-                                validate_building_data)
+from bicanonical.covers import (BranchDataP1, InvalidCoverData, dual_basis_degrees,
+                                eigensheaf_degrees, genus_from_eigensheaves, rh_genus,
+                                rh_genus_numeric, validate_building_data)
 from bicanonical.grouplib import Automorphism, GroupError, make_group
 from bicanonical.linsys import (FatPointSystem, apply_projectivity, h0_fat_points,
                                 quadrilateral_config)
@@ -58,6 +59,60 @@ def test_genus_formulas_agree(data):
     # parity of every charged degree is what makes the table integral
     for chi, degree in table.degrees:
         assert 2 * degree == data.charged_degree(chi)
+
+
+@given(branch_data())
+@settings(max_examples=100, deadline=None)
+def test_charged_degree_matches_the_pairing_route(data):
+    for chi in data.group.characters():
+        assert data.charged_degree(chi) == sum(
+            d for g, d in data.degrees.items() if chi.pairing(g) != 0)
+    # the building-data checks run once per curve
+    assert validate_building_data(data) is validate_building_data(data)
+
+
+def _rh_outcome(genus, *args):
+    try:
+        return genus(*args)
+    except InvalidCoverData as exc:
+        return str(exc)
+
+
+@given(st.sampled_from([(2,), (2, 2), (2, 2, 2), (3,), (4,), (2, 4), (3, 3), (5, 5)]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_riemann_hurwitz_matches_the_rational_route(moduli, data):
+    group = make_group(moduli)
+    nonzero = [g for g in group.elements() if not g.is_zero()]
+    degrees = data.draw(st.dictionaries(st.sampled_from(nonzero), st.integers(1, 5),
+                                        max_size=4))
+    branch = BranchDataP1(group, degrees)
+    numeric = _rh_outcome(rh_genus_numeric, group.order,
+                          [(deg, g.order()) for g, deg in degrees.items()])
+    assert _rh_outcome(rh_genus, branch) == numeric
+
+
+def test_integer_riemann_hurwitz_rejects_an_odd_euler_number():
+    group = make_group([2])
+    branch = BranchDataP1(group, {group.element([1]): 3})   # 2*2 - 3*1 = 1
+    with pytest.raises(InvalidCoverData, match="odd Euler number"):
+        rh_genus_numeric(2, [(3, 2)])
+    with pytest.raises(InvalidCoverData, match="odd Euler number"):
+        rh_genus(branch)
+
+
+def test_charged_degree_of_a_character_of_another_group():
+    group, other = make_group([2, 2]), make_group([2, 2, 2])
+    data = BranchDataP1(group, {group.element([1, 0]): 2})
+    chi = other.character([1, 0, 0])
+    with pytest.raises(GroupError, match="another group"):
+        chi.pairing(group.element([1, 0]))
+    with pytest.raises(GroupError, match="another group"):
+        data.charged_degree(chi)
+    # an equal group built apart is the same group, and with no branch
+    # divisor there is nothing to pair, as on the pairing route
+    assert data.charged_degree(make_group([2, 2]).character([1, 0])) == 2
+    assert BranchDataP1(group, {}).charged_degree(chi) == 0
 
 
 def _random_unimodular(rng, size=3, steps=10):
