@@ -8,6 +8,12 @@ bicanonical system decomposes along the characters of Gamma-perp as sections
 of O(b1, b2) twisted down by the product eigensheaves.  Summing the pieces
 must give K^2 + chi = 9; the characters with a nonzero piece determine the
 subgroup of the residual group acting trivially on the bicanonical image.
+
+Everything is computed in G itself.  Gamma-perp is {(-(chi o psi), chi)}
+for the characters chi of G, and (G x G)/Gamma is G through
+(a, b) -> b - psi(a), under which (chi1, chi2) in Gamma-perp descends to
+chi2: its value on the representative (0, g).  The descent is checked
+directly on the graph generators (g, psi(g)), a second route to Gamma-perp.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      genus_from_eigensheaves, make_verdict, rh_genus,
                      validate_building_data)
 from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
-                       common_kernel, graph_complement, graph_subgroup,
-                       split_character, split_element)
+                       common_kernel)
 
 
 @dataclass
@@ -78,44 +83,13 @@ def two_k_bidegree(branch1: BranchDataP1, branch2: BranchDataP1) -> tuple[int, i
     return branch1.total_degree() - 4, branch2.total_degree() - 4
 
 
-def quotient_iso(psi: Automorphism):
-    """The isomorphism (G x G)/Gamma -> G sending the class of (a, b) to
-    b - psi(a); the graph is exactly the kernel of this map."""
-    group = psi.group
-
-    def iso(pair: GroupElement) -> GroupElement:
-        a, b = split_element(pair)
-        if a.group != group:
-            raise InvalidCoverData("element of the wrong product group")
-        return b - psi(a)
-
-    return iso
-
-
-def induced_character(chi_pair: Character, graph: Subgroup) -> Character:
-    """The character of G = (G x G)/Gamma determined by a character of G x G
-    that is trivial on Gamma, the graph of psi (see graph_subgroup).
-
-    Evaluating on the coset representative (0, g) gives the second-component
-    character; triviality on the graph makes this independent of the chosen
-    representative.  Triviality is checked on the graph's generators.
-    """
-    for gen in graph.generators:
-        if chi_pair.pairing(gen) != 0:
-            raise InvalidCoverData(
-                "character does not vanish on the graph, so it does not descend")
-    _, chi2 = split_character(chi_pair)
-    return chi2
-
-
 def _h0_p1xp1(a: int, b: int) -> int:
     return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
 
 
 @dataclass
 class EigenEntry:
-    character: Character                 # of G x G, lying in Gamma-perp
-    factors: tuple[Character, Character]
+    factors: tuple[Character, Character]  # (chi1, chi2) in Gamma-perp
     bidegree: tuple[int, int]            # of the product eigensheaf M_chi
     dimension: int
 
@@ -129,14 +103,6 @@ class BicanonicalReport:
     p2: int
     kernel: Subgroup           # inside G, identified with (G x G)/Gamma
     verdict: Verdict
-
-    def dimension(self, chi_pair: Character) -> int:
-        for entry in self.entries:
-            if entry.character == chi_pair:
-                return entry.dimension
-        raise KeyError(
-            f"character {chi_pair.coords} is not in Gamma-perp; the eigentable "
-            "is supported on Gamma-perp only")
 
 
 def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
@@ -160,25 +126,35 @@ def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
         if genus_from_eigensheaves(table) != g:
             raise InternalInconsistency("eigensheaf table disagrees with Riemann-Hurwitz")
 
-    # Gamma-perp comes straight from psi; the graph itself is kept for the
-    # descent check of induced_character, a second route to Gamma-perp
-    graph = graph_subgroup(spec.psi)
-    gamma_perp = graph_complement(spec.psi)
+    # Gamma-perp comes straight from psi: (-(chi2 o psi), chi2) for every
+    # character chi2 of G, in the order of the pair coordinates
+    group, psi = spec.group, spec.psi
     entries = []
-    for chi_pair in gamma_perp.elements():
-        chi1, chi2 = split_character(chi_pair)
+    for chi2 in group.characters():
+        chi1 = -Character._of(group, psi.pullback(chi2.coords))
         d = (table1.degree(chi1), table2.degree(chi2))
         dim = _h0_p1xp1(bidegree[0] - d[0], bidegree[1] - d[1])
-        entries.append(EigenEntry(chi_pair, (chi1, chi2), d, dim))
+        entries.append(EigenEntry((chi1, chi2), d, dim))
+    entries.sort(key=lambda e: e.factors[0].coords + e.factors[1].coords)
+
+    # each contributing pair must kill the graph generators (g, psi(g)); it
+    # then descends to its second factor on G = (G x G)/Gamma
+    graph = [(g, psi(g)) for g in group.generators()]
+    contributing = []
+    for entry in entries:
+        if entry.dimension > 0:
+            chi1, chi2 = entry.factors
+            if any((chi1.pairing(g) + chi2.pairing(h)) % group.exponent for g, h in graph):
+                raise InternalInconsistency(
+                    f"character {chi1.coords + chi2.coords} does not vanish on the graph, "
+                    "so it does not descend")
+            contributing.append(chi2)
 
     p2 = sum(e.dimension for e in entries)
     if p2 != invariants.K2 + invariants.chi:
         raise InternalInconsistency(
             f"eigentable sums to {p2}, expected K^2 + chi = "
             f"{invariants.K2 + invariants.chi}")
-
-    contributing = [induced_character(e.character, graph)
-                    for e in entries if e.dimension > 0]
-    kernel = common_kernel(contributing, spec.group)
+    kernel = common_kernel(contributing, group)
     return BicanonicalReport((g1, g2), invariants, bidegree, entries, p2,
                              kernel, make_verdict(kernel))

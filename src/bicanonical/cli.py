@@ -14,11 +14,11 @@ the keywords SCHEMAS uses are supported; any other raises at import.
 
 Exit codes are chosen in run_scenario alone.  0: success.  1: bad input,
 either a ScenarioError for what the command line checks itself (file, JSON,
-schema, kind, group order, point coordinate size, branch entries, unknown
-names) or a ValueError from the library (InvalidCoverData, GroupError,
-LatticeMismatch, the linsys size caps).  An error raised while one entry
-of the payload is read is prefixed with that entry's JSON path (_at), as in
-$.systems[i] or $.curve1.branch[i]; invalid building data reads
+schema, kind, group order and exponent, point coordinate size, branch
+entries, unknown names) or a ValueError from the library (InvalidCoverData,
+GroupError, LatticeMismatch, the linsys size caps).  An error raised while
+one entry of the payload is read is prefixed with that entry's JSON path
+(_at), as in $.systems[i] or $.curve1.branch[i]; invalid building data reads
 "<what> building data invalid, failed relation: <name> (<detail>)".
 2: a failed consistency identity, raised as covers.InternalInconsistency
 or as a FailedReport carrying the partial report that is printed.
@@ -487,6 +487,9 @@ def run_product_quotient(payload, verbose=False):
     if order > MAX_GROUP_ORDER:
         raise ScenarioError(
             f"$.group: group order {order} exceeds the limit of {MAX_GROUP_ORDER}")
+    if any(m != 2 for m in payload["group"]):
+        raise ScenarioError(f"$.group: product quotients are implemented only for groups "
+                            f"of exponent 2, got {payload['group']}")
     group = make_group(payload["group"])
     try:
         psi = Automorphism.from_images(group, payload["automorphism"])
@@ -511,7 +514,7 @@ def run_product_quotient(payload, verbose=False):
         "invariants": _invariants(report.invariants),
         "free": True,
         "bidegree": list(report.bidegree),
-        "eigentable": [{"character": list(e.character.coords),
+        "eigentable": [{"character": [*e.factors[0].coords, *e.factors[1].coords],
                         "bidegree": list(e.bidegree), "dimension": e.dimension}
                        for e in report.entries],
         "p2": report.p2,

@@ -384,7 +384,7 @@ def z22_surface_cover_invariants(data: BranchDataSurface, h0) -> CoverInvariants
     is rational, chi = 1), and K_X^2 from 2K_X = pullback of (2K + D)."""
     validate_building_data(data).require(Z22_COVER)
     K = canonical_class(data.lattice)
-    pg = sum(h0(K + Li) for Li in data.L)
+    pg = sum(_named_h0(h0, f"K + L{i}", K + Li) for i, Li in enumerate(data.L, 1))
     s = sum(Li.dot(K + Li) for Li in data.L)
     if s % 2 != 0:
         raise InvalidCoverData("sum of L_i(K + L_i) is odd, so chi is not an integer")
@@ -394,14 +394,23 @@ def z22_surface_cover_invariants(data: BranchDataSurface, h0) -> CoverInvariants
     return CoverInvariants(K2, chi, pg, pg + 1 - chi)
 
 
+def _named_h0(h0, role: str, cls: DivisorClass) -> int:
+    """h0(cls), where an input error (a linsys size cap) names the class and
+    its role in the cover, such as K + L2 or 2K + D - L1."""
+    try:
+        return h0(cls)
+    except ValueError as exc:
+        raise InvalidCoverData(f"h0({role}) = h0({cls}): {exc}") from exc
+
+
 def projection_decomposition(total: DivisorClass, bundles, h0) -> list[tuple[str, DivisorClass, int]]:
-    """Character decomposition of the sections of the pullback of `total`
-    along a Z_2 x Z_2 cover: the invariant part h^0(total) and one twisted
-    part h^0(total - L_i) per nontrivial character."""
-    out = [("1", total, h0(total))]
+    """Character decomposition of the sections of the pullback of
+    `total` = 2K + D along a Z_2 x Z_2 cover: the invariant part h^0(total)
+    and one twisted part h^0(total - L_i) per nontrivial character."""
+    out = [("1", total, _named_h0(h0, "2K + D", total))]
     for i, Li in enumerate(bundles, start=1):
         cls = total - Li
-        out.append((f"chi{i}", cls, h0(cls)))
+        out.append((f"chi{i}", cls, _named_h0(h0, f"2K + D - L{i}", cls)))
     return out
 
 

@@ -14,6 +14,9 @@ under the graph action of (a, b) (the automorphism sends (1,0) to (1,-1) and
 produces a 9-dimensional invariant basis; ratios of those monomials generate
 the function field of the bicanonical image, and membership questions in
 that field reduce to exact integer lattice computations on exponent vectors.
+The residual group G = (G x G)/Gamma acts on the invariant monomials by the
+weight of (0, g), the representative of the class of g, so its characters
+and kernel are computed in G itself.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import beauville
 from .covers import InternalInconsistency, make_verdict
 from .exactlinalg import in_row_lattice
 from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
-                       common_kernel, pair_elements)
+                       common_kernel)
 
 FERMAT_GROUP = AbelianGroup((5, 5))
 FERMAT_DEGREE = 5
@@ -225,32 +228,23 @@ def builtin_ratio_identities(monomials=None) -> list[
             ("x1^5/z1^5", x1_5_over_z1_5(), second)]
 
 
-def residual_character(m: BiMonomial, iso=None) -> Character:
+def residual_character(m: BiMonomial) -> Character:
     """Character by which the residual group G = (G x G)/Gamma scales an
-    invariant monomial, evaluated on coset representatives chosen through the
-    quotient isomorphism iso: (a, b) -> b - psi(a), built from fermat_psi()
-    when not given."""
-    if iso is None:
-        iso = beauville.quotient_iso(fermat_psi())
-    coords = []
-    for gen in FERMAT_GROUP.generators():
-        rep = pair_elements(FERMAT_GROUP.zero(), gen)
-        assert iso(rep) == gen
-        u, v = rep.coords[:2], rep.coords[2:]
-        coords.append(product_action_weight(u, v, m.i, m.j, m.alpha, m.beta))
-    return FERMAT_GROUP.character(coords)
+    invariant monomial.  Under (a, b) -> b - psi(a) the class of g has the
+    representative (0, g), which acts on the second factor alone."""
+    return FERMAT_GROUP.character(
+        [product_action_weight((0, 0), gen.coords, m.i, m.j, m.alpha, m.beta)
+         for gen in FERMAT_GROUP.generators()])
 
 
-def residual_kernel(monomials=None, iso=None) -> Subgroup:
+def residual_kernel(monomials=None) -> Subgroup:
     """Elements of the residual group acting trivially on every ratio of the
     given monomials: the common kernel of the difference characters."""
     ms = invariant_monomials() if monomials is None else list(monomials)
     if len(ms) <= 1:
         return Subgroup(FERMAT_GROUP, FERMAT_GROUP.elements())
-    if iso is None:
-        iso = beauville.quotient_iso(fermat_psi())
-    base = residual_character(ms[0], iso)
-    diffs = [residual_character(m, iso) - base for m in ms[1:]]
+    base = residual_character(ms[0])
+    diffs = [residual_character(m) - base for m in ms[1:]]
     return common_kernel(diffs, FERMAT_GROUP)
 
 
@@ -299,6 +293,6 @@ def fermat_report() -> FermatReport:
                     for name, target, combo in builtin_ratio_identities(monomials)]
     memberships = [("x^5/z^5", field_lattice_contains(x5_over_z5(), gens)),
                    ("x1^5/z1^5", field_lattice_contains(x1_5_over_z1_5(), gens))]
-    kernel = residual_kernel(monomials, beauville.quotient_iso(psi))
+    kernel = residual_kernel(monomials)
     return FermatReport(invariants, free, monomials, verify_weight_derivation(),
                         ratio_checks, memberships, kernel, make_verdict(kernel))

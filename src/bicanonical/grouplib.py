@@ -14,13 +14,13 @@ saturating with +gen and -gen.  A character kills a
 subgroup iff it kills its generators, so an orthogonal complement or a common
 kernel is one scan of the coordinate vectors of the group, filtered by the
 generators' weighted coordinates; group objects are built only for the
-members that survive.  The complement of the graph of an automorphism psi,
-whose scan would cover all of G x G, is instead written down from psi
-(graph_complement): it is {(-(chi o psi), chi)}, |G| characters generated
-by rank(G) of them.  Arithmetic results are reduced by construction and
-skip the checks of the public constructors, and an automorphism checks its
-bijectivity on raw coordinate tuples.  The command line caps the group
-order at MAX_GROUP_ORDER.
+members that survive.  An automorphism psi acts on characters by pullback,
+chi -> chi o psi, written down from its matrix (Automorphism.pullback); the
+characters of G x G killing the graph of psi are the pairs
+(-(chi o psi), chi), so no G x G is ever built.  Arithmetic results are
+reduced by construction and skip the checks of the public constructors, and
+an automorphism checks its bijectivity on raw coordinate tuples.  The
+command line caps the group order at MAX_GROUP_ORDER.
 """
 
 from __future__ import annotations
@@ -96,32 +96,8 @@ class AbelianGroup:
     def character(self, coords) -> "Character":
         return Character(self, self._reduce(coords))
 
-    def trivial_character(self) -> "Character":
-        return Character(self, (0,) * self.rank)
-
     def characters(self) -> list["Character"]:
         return [Character._of(self, coords) for coords in self.coordinate_vectors()]
-
-    def square(self) -> "AbelianGroup":
-        """The product group G x G (used for graphs of automorphisms), built
-        once per group."""
-        return self._square
-
-    @cached_property
-    def _square(self) -> "AbelianGroup":
-        square = AbelianGroup(self.moduli * 2)
-        square.__dict__["half"] = self   # halves of pairs live in this very group
-        return square
-
-    @cached_property
-    def half(self) -> "AbelianGroup":
-        """G, when this group is G x G; built once per group, so the halves
-        of residue vectors of G x G share it (for a square(), it is the
-        squared group itself)."""
-        n = len(self.moduli) // 2
-        if n == 0 or self.moduli != self.moduli[:n] * 2:
-            raise GroupError(f"{self.moduli} is not a product group G x G")
-        return AbelianGroup(self.moduli[:n])
 
 
 def make_group(moduli) -> AbelianGroup:
@@ -203,12 +179,6 @@ class Character(_Residues):
             raise GroupError("character paired with an element of another group")
         return sum(map(mul, map(mul, self.coords, g.coords), group.weights)) % group.exponent
 
-    def annihilates(self, g: GroupElement) -> bool:
-        return self.pairing(g) == 0
-
-    def is_trivial(self) -> bool:
-        return self.is_zero()
-
     def kernel(self) -> "Subgroup":
         return common_kernel([self], self.group)
 
@@ -260,6 +230,14 @@ class Automorphism:
             raise GroupError("element of a different group")
         return GroupElement._of(self.group, self._image(g.coords))
 
+    def pullback(self, chi: tuple[int, ...]) -> tuple[int, ...]:
+        """The coordinates of chi o psi, for the coordinates of a character
+        chi.  Coordinate j of e_i o psi is M[i][j] m_j / m_i modulo m_j, an
+        integer by the homomorphism check, so the matrix acts transposed."""
+        moduli, matrix = self.group.moduli, self.matrix
+        return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m
+                     for j, m in enumerate(moduli))
+
     def inverse(self) -> "Automorphism":
         lookup = {self(g): g for g in self.group.elements()}
         return Automorphism.from_images(
@@ -309,57 +287,12 @@ class Subgroup:
     def elements(self) -> list:
         return sorted(self.members, key=lambda g: g.coords)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.group == other.group
                 and self.dual == other.dual and self.members == other.members)
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, of={self.group.moduli})"
-
-
-def graph_subgroup(psi: Automorphism) -> Subgroup:
-    """The graph {(g, psi(g))} inside G x G, generated by the pairs
-    (gen, psi(gen)) of the standard generators."""
-    gens = [pair_elements(gen, psi(gen)) for gen in psi.group.generators()]
-    graph = Subgroup(psi.group.square(), gens)
-    assert graph.order == psi.group.order
-    return graph
-
-
-def graph_complement(psi: Automorphism) -> Subgroup:
-    """Gamma-perp for the graph Gamma of psi, without scanning G x G.
-
-    (chi1, chi2) kills every (g, psi(g)) iff chi1 = -(chi2 o psi), so
-    Gamma-perp = {(-(chi o psi), chi)}, generated by the pairs of the dual
-    basis characters e_i.  Coordinate j of e_i o psi is M[i][j] m_j / m_i
-    modulo m_j, an integer by the homomorphism check of Automorphism."""
-    group = psi.group
-    moduli, n = group.moduli, group.rank
-    gens = []
-    for i, row in enumerate(psi.matrix):
-        minus_pullback = tuple(-row[j] * moduli[j] // moduli[i] % moduli[j] for j in range(n))
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        gens.append(Character._of(group.square(), minus_pullback + unit))
-    return Subgroup(group.square(), gens)
-
-
-def pair_elements(a: GroupElement, b: GroupElement) -> GroupElement:
-    if a.group != b.group:
-        raise GroupError("pairing elements of different groups")
-    return a.group.square().element(a.coords + b.coords)
-
-
-def split_element(gh: GroupElement) -> tuple[GroupElement, GroupElement]:
-    g = gh.group.half
-    return GroupElement._of(g, gh.coords[:g.rank]), GroupElement._of(g, gh.coords[g.rank:])
-
-
-def split_character(chi: Character) -> tuple[Character, Character]:
-    g = chi.group.half
-    return Character._of(g, chi.coords[:g.rank]), Character._of(g, chi.coords[g.rank:])
 
 
 def _annihilated(group: AbelianGroup, vectors) -> list[tuple[int, ...]]:

@@ -137,7 +137,7 @@ def test_criterion_4_z24_product_quotient():
     dims = sorted((e.dimension for e in report.entries if e.dimension), reverse=True)
     assert dims == [4, 1, 1, 1, 1, 1]
     assert report.p2 == 9
-    assert report.kernel.is_trivial()
+    assert report.kernel.order == 1
     assert report.verdict.birational
     _report(4, "genus-(5,5) quotient: bidegree (1,1), eigentable {4,1,1,1,1,1}, "
                "kernel trivial, birational")
@@ -155,7 +155,7 @@ def test_criterion_5_fermat_quotient():
     gens = ratio_lattice(monomials)
     assert field_lattice_contains(x5_over_z5(), gens)
     assert field_lattice_contains(x1_5_over_z1_5(), gens)
-    assert residual_kernel(monomials).is_trivial()
+    assert residual_kernel(monomials).order == 1
     assert is_free(fermat_psi(), fermat_fixed_elements(), fermat_fixed_elements())[0]
     _report(5, "Fermat quotient: 9 invariant monomials, weight identity, ratio "
                "identities, lattice memberships, trivial kernel, birational")
@@ -170,7 +170,7 @@ def _fix_parity(group, degrees):
     gens = group.generators()
     for i in range(group.rank):
         chi = group.character([1 if j == i else 0 for j in range(group.rank)])
-        charged = sum(d for g, d in degrees.items() if not chi.annihilates(g))
+        charged = sum(d for g, d in degrees.items() if chi.pairing(g) != 0)
         if charged % 2:
             degrees[gens[i]] = degrees.get(gens[i], 0) + 1
     return degrees

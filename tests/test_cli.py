@@ -283,12 +283,54 @@ def test_product_quotient_group_order_is_capped(tmp_path, capsys, monkeypatch):
 
 
 def test_product_quotient_at_the_cap_runs_past_it(tmp_path, capsys):
-    code, out = run_cli(capsys, "run", write_scenario(tmp_path, _cyclic_pq_payload([25, 25])))
-    # the whole group of order 625 is enumerated; the scenario then fails on
-    # its order-25 inertia, well after the cap
+    # Z2^9, the largest group of exponent 2 under the cap, is enumerated
+    # whole; the scenario then fails on its genera, well after the group checks
+    unit = [[1 if j == i else 0 for j in range(9)] for i in range(9)]
+    curve = {"branch": [{"element": unit[0], "degree": 2}], "line_bundles": unit[0]}
+    payload = {"kind": "product-quotient", "group": [2] * 9, "automorphism": unit,
+               "curve1": curve, "curve2": curve}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert code == 1
     assert "$.group" not in out
-    assert "bidegree formula requires all inertia groups of order 2" in out
+    assert "invariant mismatch" in out
+
+
+def _fermat_pq_payload():
+    """The Fermat quotient's data as a product quotient over Z5^2."""
+    curve = {"branch": [{"element": e, "points": [p]}
+                        for e, p in (([1, 0], "P1"), ([0, 1], "P2"), ([4, 4], "P3"))],
+             "line_bundles": [1, 1]}
+    images = [list(fermat.fermat_psi()(g).coords) for g in fermat.FERMAT_GROUP.generators()]
+    return {"kind": "product-quotient", "group": [5, 5], "automorphism": images,
+            "curve1": curve, "curve2": copy.deepcopy(curve)}
+
+
+@pytest.mark.parametrize("payload", [
+    _fermat_pq_payload(),
+    {"kind": "product-quotient", "group": [3], "automorphism": [[1]],
+     "curve1": {"branch": [{"element": [1], "degree": 3}], "line_bundles": [1]},
+     "curve2": {"branch": [{"element": [1], "degree": 3}], "line_bundles": [1]}},
+], ids=["fermat-z5-squared", "z3"])
+def test_product_quotient_rejects_a_group_not_of_exponent_2(tmp_path, capsys, monkeypatch,
+                                                            payload):
+    def no_building_data(*args):
+        raise AssertionError("the group must be rejected before any building data is read")
+
+    monkeypatch.setattr(cli, "_build_curve", no_building_data)
+    monkeypatch.setattr(cli.Automorphism, "from_images", no_building_data)
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: $.group: product quotients are implemented only for "
+                              f"groups of exponent 2, got {payload['group']}\n")
+
+
+def test_untransposed_pullback_exits_2(capsys, monkeypatch):
+    # a Gamma-perp built with the matrix acting on characters untransposed
+    # fails the descent check on the graph generators
+    monkeypatch.setattr(cli.Automorphism, "pullback", cli.Automorphism._image)
+    code, out = run_cli(capsys, "run", "inoue-z24")
+    assert code == 2
+    assert out.startswith("error: internal inconsistency: character ")
+    assert out.endswith(" does not vanish on the graph, so it does not descend\n")
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -330,8 +372,10 @@ def _set_branch(curve, index, **fields):
      "$.curve2.line_bundles: need one line bundle degree per generator"),
     (lambda p: p.update(automorphism=[[1, 0, 0], [1, 0, 0], [0, 0, 1]]),
      "validation failed: $.automorphism: matrix is not invertible over the group"),
+    # only groups of exponent 2 get as far as their automorphism
     (lambda p: p.update(group=[2, 4, 2], automorphism=[[1, 0, 0], [0, 1, 0], [0, 1, 1]]),
-     "validation failed: $.automorphism: matrix does not define a homomorphism"),
+     "$.group: product quotients are implemented only for groups of exponent 2, "
+     "got [2, 4, 2]"),
 ], ids=["long-element", "zero-element", "repeated-point", "points-and-degree",
         "no-points-or-degree", "duplicate-element", "line-bundle-count", "singular",
         "not-a-homomorphism"])
@@ -610,6 +654,20 @@ def test_z22_h0_calls_are_capped(tmp_path, capsys):
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert code == 1
     assert "degree must be between 0 and 12" in out
+
+
+@pytest.mark.parametrize("branch, bundles, message", [
+    ({"D1": {"l": 40}, "D2": {"l": 2}, "D3": {"l": 2}}, {"L1": {"l": 2}, "L2": {"l": 21}},
+     "h0(K + L2) = h0(18l + e1 + e2 + e3 + e4 + e5 + e6): "
+     "degree must be between 0 and 12, got 18"),
+    ({"D1": {"l": 10}, "D2": {"l": 10}, "D3": {"l": 10}}, {"L1": {"l": 10}, "L2": {"l": 10}},
+     "h0(2K + D) = h0(24l + 2e1 + 2e2 + 2e3 + 2e4 + 2e5 + 2e6): "
+     "degree must be between 0 and 12, got 24"),
+], ids=["K+L2", "2K+D"])
+def test_z22_h0_cap_names_its_class(tmp_path, capsys, branch, bundles, message):
+    payload = {"kind": "z22-surface-cover", "branch": branch, "line_bundles": bundles}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, f"error: validation failed: {message}\n")
 
 
 _CONTRACT_PAYLOADS = [builtin_payload(name) for name in cli.BUILTIN_ORDER] + [

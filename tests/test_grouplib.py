@@ -5,10 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical.grouplib import (Automorphism, GroupError, Subgroup,
-                                  common_kernel, element_name, graph_complement,
-                                  graph_subgroup, make_group, orthogonal_complement,
-                                  pair_elements, split_character, split_element)
+from bicanonical.grouplib import (Automorphism, GroupError, Subgroup, common_kernel,
+                                  element_name, make_group, orthogonal_complement)
 
 
 def test_make_group_orders():
@@ -64,6 +62,9 @@ def test_automorphism_rejects_singular_matrix():
     G = make_group([2, 2])
     with pytest.raises(GroupError):
         Automorphism.from_images(G, [(1, 0), (1, 0)])
+    # nor may a generator of order 2 go to an element of order 4
+    with pytest.raises(GroupError, match="does not define a homomorphism"):
+        Automorphism.from_images(make_group([2, 4]), [(0, 1), (1, 0)])
 
 
 def test_automorphism_inverse_is_inverse():
@@ -79,45 +80,59 @@ def test_automorphism_inverse_is_inverse():
             assert psi(inv(g)) == g
 
 
+# Test-local oracle: the graph {(g, psi(g))} as a subgroup of G x G, which
+# the program never builds; it works in G through (a, b) -> b - psi(a).
+
+def _graph(psi):
+    G = psi.group
+    square = make_group(G.moduli * 2)
+    return square, Subgroup(square, [square.element(g.coords + psi(g).coords)
+                                     for g in G.generators()])
+
+
+def _minus_pullback(psi, chi):
+    """-(chi o psi), the partner of chi in Gamma-perp, as coordinates."""
+    return tuple((-c) % m for c, m in zip(psi.pullback(chi.coords), psi.group.moduli))
+
+
 def test_graph_subgroup_orders():
     G = make_group([2, 2, 2])
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    graph = graph_subgroup(psi)
-    assert graph.order == 8
-    ident = Automorphism.identity(G)
-    diagonal = graph_subgroup(ident)
-    assert all(split_element(m)[0] == split_element(m)[1] for m in diagonal.members)
+    assert _graph(psi)[1].order == 8
+    diagonal = _graph(Automorphism.identity(G))[1]
+    assert all(m.coords[:3] == m.coords[3:] for m in diagonal.members)
     G55 = make_group([5, 5])
     psi55 = Automorphism.from_images(G55, [(1, -1), (1, 2)])
-    assert graph_subgroup(psi55).order == 25
+    assert _graph(psi55)[1].order == 25
 
 
 def test_graph_meets_second_factor_trivially():
+    # so the classes of (0, g) are distinct: they represent (G x G)/Gamma = G
     G = make_group([2, 2, 2])
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    graph = graph_subgroup(psi)
-    for member in graph.members:
-        a, b = split_element(member)
-        if a.is_zero():
-            assert b.is_zero()
+    for member in _graph(psi)[1].members:
+        if not any(member.coords[:3]):
+            assert not any(member.coords[3:])
 
 
 def test_orthogonal_complement_of_graph():
     G = make_group([2, 2, 2])
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
-    graph = graph_subgroup(psi)
+    square, graph = _graph(psi)
     perp = orthogonal_complement(graph)
     assert perp.order == 8  # |G x G| / |graph|
 
     # ((1,0,1),(1,0,0)) pairs trivially with every (g, psi(g)): checked both
-    # through the subgroup and by direct exhaustive pairing
-    gg = G.square()
-    chi = gg.character([1, 0, 1, 1, 0, 0])
-    assert chi in perp
+    # through the subgroup and by direct exhaustive pairing, and it is the
+    # partner that the pullback gives (1,0,0)
+    assert square.character([1, 0, 1, 1, 0, 0]) in perp
     chi1 = G.character([1, 0, 1])
     chi2 = G.character([1, 0, 0])
     for g in G.elements():
         assert (chi1.pairing(g) + chi2.pairing(psi(g))) % 2 == 0
+    assert _minus_pullback(psi, chi2) == chi1.coords
+    assert perp.members == {square.character(_minus_pullback(psi, chi) + chi.coords)
+                            for chi in G.characters()}
 
 
 def test_orthogonal_complement_of_full_group():
@@ -125,7 +140,7 @@ def test_orthogonal_complement_of_full_group():
     full = Subgroup(G, G.elements())
     perp = orthogonal_complement(full)
     assert perp.order == 1
-    assert next(iter(perp.members)).is_trivial()
+    assert next(iter(perp.members)).is_zero()
 
 
 def test_common_kernel_cases():
@@ -174,29 +189,6 @@ def test_subgroup_orthogonality_index(moduli, data):
     assert sub.order * orthogonal_complement(sub).order == G.order
 
 
-def test_pair_and_split_roundtrip():
-    G = make_group([2, 2, 2])
-    a, b = G.element([1, 0, 1]), G.element([0, 1, 1])
-    assert split_element(pair_elements(a, b)) == (a, b)
-    assert split_character(G.square().character([1, 0, 1, 0, 1, 1])) == (
-        G.character([1, 0, 1]), G.character([0, 1, 1]))
-    # only a group G x G splits
-    for moduli in ([2, 4], [2, 2, 2], [2]):
-        with pytest.raises(GroupError, match="not a product group"):
-            split_element(make_group(moduli).zero())
-
-
-def test_square_is_built_once_and_pairs_split_into_its_group():
-    G = make_group([5, 5])
-    assert G.square() is G.square()
-    a, b = G.element([1, 2]), G.element([3, 4])
-    first, second = split_element(pair_elements(a, b)), split_element(pair_elements(b, a))
-    assert first[0].group is first[1].group is second[0].group is G
-    assert split_character(G.square().character([1, 0, 1, 1]))[0].group is G
-    # an equal group built apart has its own square, equal to the first
-    assert make_group([5, 5]).square() == G.square()
-
-
 def test_element_names():
     G = make_group([2, 2, 2])
     assert element_name(G.zero()) == "0"
@@ -212,7 +204,7 @@ def test_element_names():
 # pairs every element with every character.
 
 def _saturate(group, gens, dual):
-    zero = group.trivial_character() if dual else group.zero()
+    zero = group.character((0,) * group.rank) if dual else group.zero()
     members, frontier = {zero}, [zero]
     while frontier:
         current = frontier.pop()
@@ -227,12 +219,12 @@ def _saturate(group, gens, dual):
 
 def _scan_complement(group, members):
     return frozenset(chi for chi in group.characters()
-                     if all(chi.annihilates(g) for g in members))
+                     if all(chi.pairing(g) == 0 for g in members))
 
 
 def _scan_kernel(group, chars):
     return frozenset(g for g in group.elements()
-                     if all(chi.annihilates(g) for chi in chars))
+                     if all(chi.pairing(g) == 0 for chi in chars))
 
 
 @st.composite
@@ -267,7 +259,7 @@ def test_generator_arithmetic_matches_exhaustive_saturation(case):
 
     # with no generators a Subgroup is one of elements, so the dual side
     # starts from the trivial character
-    chars = [G.character(v) for v in vectors] or [G.trivial_character()]
+    chars = [G.character(v) for v in vectors] or [G.character((0,) * G.rank)]
     span = Subgroup(G, chars)
     assert span.members == _saturate(G, chars, dual=True)
     kernel = common_kernel(chars, G)
@@ -303,9 +295,17 @@ def _automorphisms(draw):
 @example(Automorphism.from_images(make_group([25, 5]), [(1, 1), (5, 1)]))
 @settings(max_examples=120, deadline=None)
 def test_graph_complement_matches_the_scan_of_g_x_g(psi):
-    perp = graph_complement(psi)
-    assert perp == orthogonal_complement(graph_subgroup(psi))
-    assert perp.dual and perp.order == psi.group.order
+    """Gamma-perp built from the pullback, {(-(chi o psi), chi)}, is every
+    pair of characters with chi1(g) + chi2(psi(g)) = 0 on the generators."""
+    G = psi.group
+    built = {_minus_pullback(psi, chi) + chi.coords for chi in G.characters()}
+    # chi1 on the generators g and chi2 on their images psi(g), tabulated once
+    ex, gens = G.exponent, G.generators()
+    first = {chi.coords: [chi.pairing(g) for g in gens] for chi in G.characters()}
+    second = {chi.coords: [chi.pairing(psi(g)) for g in gens] for chi in G.characters()}
+    scanned = {c1 + c2 for c1, v1 in first.items() for c2, v2 in second.items()
+               if all((x + y) % ex == 0 for x, y in zip(v1, v2))}
+    assert built == scanned and len(built) == G.order
 
 
 def test_graph_complement_at_the_order_cap_is_fast():
@@ -313,7 +313,7 @@ def test_graph_complement_at_the_order_cap_is_fast():
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        perp = graph_complement(psi)
+        perp = {_minus_pullback(psi, chi) + chi.coords for chi in psi.group.characters()}
         times.append(time.perf_counter() - start)
-    assert perp.order == 512
+    assert len(perp) == 512
     assert min(times) < 0.050

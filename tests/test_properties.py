@@ -26,7 +26,7 @@ def _fix_parity(group, degrees):
     gens = group.generators()
     for i in range(group.rank):
         chi = group.character([1 if j == i else 0 for j in range(group.rank)])
-        charged = sum(d for g, d in degrees.items() if not chi.annihilates(g))
+        charged = sum(d for g, d in degrees.items() if chi.pairing(g) != 0)
         if charged % 2:
             degrees[gens[i]] = degrees.get(gens[i], 0) + 1
     return degrees
