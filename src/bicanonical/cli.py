@@ -672,13 +672,16 @@ def _linsys_config(payload):
                 point = linsys.ProjectivePoint.of(*coords)
             except ValueError as exc:
                 raise _at(f"$.points[{i}]", exc) from exc
-            if max(map(abs, linsys.integer_coords(point))) > linsys.MAX_COORDINATE:
+            if max(map(abs, point.coords)) > linsys.MAX_COORDINATE:
                 raise ScenarioError(f"$.points[{i}]: coprime integer coordinates exceed "
                                     f"the limit of {linsys.MAX_COORDINATE}")
             pts.append(point)
         labels = tuple(payload.get("labels",
                                    [f"P{i}" for i in range(1, len(pts) + 1)]))
-        return linsys.PointConfig(tuple(pts), labels)
+        try:
+            return linsys.PointConfig(tuple(pts), labels)
+        except linsys.ConfigError as exc:
+            raise _at(f"$.{exc.field}", exc) from exc
     return linsys.quadrilateral_config()
 
 

@@ -20,7 +20,6 @@ table; the two routes are independent and are cross-checked throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -87,14 +86,6 @@ class DoubleCoverInput:
     def __post_init__(self):
         if self.h0_K_plus_M < 0:
             raise InvalidCoverData("a section-space dimension cannot be negative")
-
-    @classmethod
-    def from_classes(cls, label: str, chi_base: int, pg_base: int,
-                     K: DivisorClass, M: DivisorClass, h0_K_plus_M: int,
-                     branch: DivisorClass | None = None) -> "DoubleCoverInput":
-        if branch is not None and 2 * M != branch:
-            raise InvalidCoverData("branch class is not twice the square root M")
-        return cls(label, chi_base, pg_base, K.dot(K), M.dot(M), M.dot(K), h0_K_plus_M)
 
 
 def double_cover_invariants(inp: DoubleCoverInput) -> CoverInvariants:
@@ -179,9 +170,6 @@ class BranchDataP1:
     def total_degree(self) -> int:
         return sum(self.degrees.values())
 
-    def degree_of(self, gamma: GroupElement) -> int:
-        return self.degrees.get(gamma, 0)
-
     def charged_degree(self, chi: Character) -> int:
         """Total branch degree on elements outside ker(chi): chi(g) is the
         dot product of chi's coordinates with g's weighted coordinates."""
@@ -221,19 +209,6 @@ class BranchDataP1:
         return sorted(self.degrees.items(), key=lambda item: item[0].coords)
 
 
-def dual_basis_degrees(group: AbelianGroup, data: BranchDataP1) -> tuple[int, ...]:
-    """The line bundle degrees forced by the branch divisors (degree of L_i is
-    half the branch degree charged by the i-th dual basis character)."""
-    out = []
-    for chi in _dual_basis(group):
-        s = data.charged_degree(chi)
-        if s % 2 != 0:
-            raise InvalidCoverData(
-                f"charged branch degree {s} for character {chi.coords} is odd")
-        out.append(s // 2)
-    return tuple(out)
-
-
 def _dual_basis(group: AbelianGroup) -> list[Character]:
     return [group.character([1 if j == i else 0 for j in range(group.rank)])
             for i in range(group.rank)]
@@ -251,28 +226,11 @@ def validate_building_data(data) -> ValidationReport:
     return data.validation
 
 
-def rh_genus_numeric(cover_degree: int, branch) -> int:
-    """Riemann-Hurwitz over P^1 with branch points given as (count, inertia
-    order) pairs: 2 - 2g = deg * (2 - sum over branch points of (1 - 1/ord))."""
-    if cover_degree < 1:
-        raise InvalidCoverData("a cover has degree >= 1")
-    ram = Fraction(0)
-    for count, order in branch:
-        ram += count * (1 - Fraction(1, order))
-    chi_top = cover_degree * (2 - ram)
-    if chi_top.denominator != 1:
-        raise InvalidCoverData("Riemann-Hurwitz gives a non-integral Euler number")
-    chi_top = int(chi_top)
-    if chi_top % 2 != 0:
-        raise InvalidCoverData("Riemann-Hurwitz gives an odd Euler number")
-    return (2 - chi_top) // 2
-
-
 def rh_genus(data: BranchDataP1) -> int:
     """Genus of the cover curve: each branch point of D_gamma has cyclic
-    inertia generated by gamma.  This is rh_genus_numeric in integers: the
-    Euler number is 2n - sum of deg * (n - n/ord(gamma)) with n = |G|,
-    exact since ord(gamma) divides n."""
+    inertia generated by gamma.  Riemann-Hurwitz in integers: the Euler
+    number is 2n - sum of deg * (n - n/ord(gamma)) with n = |G|, exact since
+    ord(gamma) divides n."""
     n = data.group.order
     chi_top = 2 * n - sum(deg * (n - n // gamma.order()) for gamma, deg in data.degrees.items())
     if chi_top % 2 != 0:
@@ -440,9 +398,8 @@ def make_verdict(kernel: Subgroup) -> Verdict:
 
 
 _Z22 = AbelianGroup((2, 2))
-# nonzero elements gamma_1, gamma_2, gamma_3 and for each the unique
+# for each nonzero element gamma_i = (1, 0), (0, 1), (1, 1) the unique
 # nontrivial character chi_i orthogonal to it
-Z22_GAMMAS = (_Z22.element((1, 0)), _Z22.element((0, 1)), _Z22.element((1, 1)))
 Z22_CHIS = (_Z22.character((0, 1)), _Z22.character((1, 0)), _Z22.character((1, 1)))
 
 
@@ -460,23 +417,6 @@ class Z22CoverReport:
     p2: int
     kernel: Subgroup
     verdict: Verdict
-
-
-def inoue_building_data() -> BranchDataSurface:
-    """Building data of the Z_2 x Z_2 cover of the quadrilateral blowup whose
-    minimal model is the Inoue surface with K^2 = 7: branch classes assembled
-    from the catalog divisors (one general member of |f_1| counted twice) and
-    the two square roots L_1, L_2."""
-    from .piclattice import quadrilateral_catalog
-
-    cat = quadrilateral_catalog()
-    comps = ((cat.Delta[0], cat.f[1], cat.S[0], cat.S[1]),
-             (cat.Delta[1], cat.f[2]),
-             (cat.Delta[2], cat.f[0], cat.f[0], cat.S[2], cat.S[3]))
-    D = tuple(sum(parts, cat.lattice.zero()) for parts in comps)
-    L1 = cat.lattice.cls({"l": 5, "e1": -1, "e2": -2, "e3": -1, "e4": -3, "e5": -2, "e6": -2})
-    L2 = cat.lattice.cls({"l": 6, "e1": -2, "e2": -2, "e3": -2, "e4": -2, "e5": -3, "e6": -3})
-    return BranchDataSurface(cat.lattice, D, (L1, L2), components=comps)
 
 
 def z22_bicanonical_report(data: BranchDataSurface, h0) -> Z22CoverReport:

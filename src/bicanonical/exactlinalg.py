@@ -1,34 +1,19 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 Everything downstream (interpolation ranks, definiteness tests, function-field
-lattice membership) reduces to three primitives: rank over Q by gcd-normalised
-integer elimination, integer determinants, and membership of a vector in the
-Z-span of a set of integer rows.  No floating point anywhere.
+lattice membership) reduces to three primitives on matrices with integer
+entries: rank over Q by gcd-normalised integer elimination, integer
+determinants, and membership of a vector in the Z-span of a set of integer
+rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def _clear_denominators(rows):
-    """Scale each row to integers (row scaling does not change the rank)."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = lcm(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+from math import gcd
 
 
 def exact_rank(rows) -> int:
-    """Rank over Q of a matrix with integer or Fraction entries.
+    """Rank over Q of a matrix with integer entries.
 
     Integer elimination: a nonzero row becomes the pivot, and every other
     row that is nonzero in the pivot's first nonzero column becomes
@@ -36,7 +21,7 @@ def exact_rank(rows) -> int:
     already zero in that column are left alone.  The rank is the number of
     pivots.
     """
-    work = [row for row in _clear_denominators(rows) if any(row)]
+    work = [row for row in rows if any(row)]
     rank = 0
     while work:
         pivot = work.pop()

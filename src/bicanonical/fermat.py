@@ -72,26 +72,12 @@ class BiMonomial:
         return "*".join(parts) if parts else "1"
 
 
-def all_bimonomials() -> list[BiMonomial]:
-    """All 225 bicanonical monomials, lexicographic in (i, j, alpha, beta)."""
-    return [BiMonomial(i, j, a, b)
-            for i in range(5) for j in range(5 - i)
-            for a in range(5) for b in range(5 - a)]
-
-
 def weight_coefficients(i: int, j: int, alpha: int, beta: int) -> tuple[int, int]:
     """The closed weight formula: the monomial of exponents (i, j; alpha,
     beta) picks up the exponent a A + b B (mod 5) under the graph action of
     (a, b), for the returned (A, B).  The one home of the formula, used by
-    weight(), invariant_monomials() and the exhaustive check."""
+    invariant_monomials() and the exhaustive check."""
     return 2 + i + alpha - beta, 3 + j + alpha + 2 * beta
-
-
-def weight(a: int, b: int, m: BiMonomial) -> int:
-    """Root-of-unity exponent picked up by the monomial under the graph
-    action of the group element (a, b)."""
-    A, B = weight_coefficients(m.i, m.j, m.alpha, m.beta)
-    return (a * A + b * B) % 5
 
 
 def factor_weight(u, i: int, j: int) -> int:

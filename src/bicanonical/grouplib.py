@@ -32,8 +32,10 @@ from math import gcd, lcm
 from operator import add, mod, mul
 
 # the largest group order a scenario may ask for: Automorphism and
-# common_kernel enumerate the whole group
-MAX_GROUP_ORDER = 625
+# common_kernel enumerate the whole group.  Product quotients run only for
+# groups of exponent 2, so the cap is the order of Z2^9; Z2^10 is the first
+# group it rejects.
+MAX_GROUP_ORDER = 2**9
 
 
 class GroupError(ValueError):
@@ -179,9 +181,6 @@ class Character(_Residues):
             raise GroupError("character paired with an element of another group")
         return sum(map(mul, map(mul, self.coords, g.coords), group.weights)) % group.exponent
 
-    def kernel(self) -> "Subgroup":
-        return common_kernel([self], self.group)
-
 
 @dataclass(frozen=True)
 class Automorphism:
@@ -216,10 +215,6 @@ class Automorphism:
                        for i in range(group.rank))
         return cls(group, matrix)
 
-    @classmethod
-    def identity(cls, group: AbelianGroup) -> "Automorphism":
-        return cls.from_images(group, [g.coords for g in group.generators()])
-
     def _image(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """The reduced coordinates of the image of an element's coordinates."""
         return tuple(sum(map(mul, row, coords)) % m
@@ -237,11 +232,6 @@ class Automorphism:
         moduli, matrix = self.group.moduli, self.matrix
         return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m
                      for j, m in enumerate(moduli))
-
-    def inverse(self) -> "Automorphism":
-        lookup = {self(g): g for g in self.group.elements()}
-        return Automorphism.from_images(
-            self.group, [lookup[gen].coords for gen in self.group.generators()])
 
 
 class Subgroup:

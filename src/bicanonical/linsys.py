@@ -9,9 +9,10 @@ at P_i.  By Euler's relation e*G = sum x_j dG/dx_j for a form G of degree
 e >= 1, the vanishing of every order-t partial at P forces the vanishing of
 every lower one, so these rows cut out the same space as all partials of
 order < m_i; for m_i - 1 > d the order-d partials are multiples of the
-coefficients and already force F = 0.  Each point is scaled to coprime
-integer coordinates, so the rows are integers, and the rank is computed
-exactly.  On special point configurations (such as the complete
+coefficients and already force F = 0.  A point is scaled to coprime
+integer coordinates once, when it is parsed (ProjectivePoint), and stays an
+integer triple from there on, so the rows are integers and the rank is
+computed exactly.  On special point configurations (such as the complete
 quadrilateral) this rank drops below the generic count, which is precisely
 the phenomenon the computations here need to capture; no genericity
 assumption is ever made.
@@ -26,7 +27,9 @@ of the frame points span exactly the coordinate subspace of those killed
 monomials.  The rank of all rows is therefore the number of killed
 monomials plus the rank of the other points' rows restricted to the alive
 columns, those with every frame exponent <= d - 1 - t_k, and
-h^0 = |alive| - rank of the restricted rows, with no approximation.
+h^0 = |alive| - rank of the restricted rows, with no approximation.  The
+moved points are kept as primitive integer triples, and only the alive
+columns of the other points' rows are built.
 """
 
 from __future__ import annotations
@@ -70,20 +73,34 @@ def _to_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    coords: tuple[Fraction, Fraction, Fraction]
+    """A point of P^2.  Any exact triple (ints, Fractions or 'p/q' strings)
+    is scaled once to coprime integers, keeping its signs, so coords holds
+    the coprime integer triple."""
+
+    coords: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.coords) != 3 or all(c == 0 for c in self.coords):
+        values = [_to_fraction(c) for c in self.coords]
+        if len(values) != 3 or not any(values):
             raise ValueError("a projective point needs three coordinates, not all zero")
+        denom = lcm(*(c.denominator for c in values))
+        object.__setattr__(self, "coords", _primitive(
+            [c.numerator * (denom // c.denominator) for c in values]))
 
     @classmethod
     def of(cls, x, y, z) -> "ProjectivePoint":
-        return cls((_to_fraction(x), _to_fraction(y), _to_fraction(z)))
+        return cls((x, y, z))
 
     def same_point(self, other: "ProjectivePoint") -> bool:
+        # coprime integer triples of one point differ at most by their sign
         a, b = self.coords, other.coords
-        return (a[0] * b[1] == a[1] * b[0] and a[0] * b[2] == a[2] * b[0]
-                and a[1] * b[2] == a[2] * b[1])
+        return a == b or a == tuple(-c for c in b)
+
+
+def _primitive(v) -> tuple[int, int, int]:
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(c // g for c in v)
 
 
 def _cross(u, v):
@@ -98,13 +115,22 @@ def collinear(p: ProjectivePoint, q: ProjectivePoint, r: ProjectivePoint) -> boo
     return _dot(_cross(p.coords, q.coords), r.coords) == 0
 
 
+class ConfigError(ValueError):
+    """An invalid PointConfig; `field` names the offending field: "points",
+    "labels" or "labels[i]" (0-based)."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class PointConfig:
-    """Labelled points with exact coordinates plus incidence assertions.
+    """Labelled points plus incidence assertions.
 
     Each incidence ((i, j), k) asserts that point k lies on the line through
-    points i and j (1-based labels); all assertions and pairwise distinctness
-    are verified exactly at construction time.
+    points i and j (1-based labels); all assertions, pairwise distinctness of
+    the points and of the labels are verified exactly at construction time.
     """
 
     points: tuple[ProjectivePoint, ...]
@@ -113,11 +139,15 @@ class PointConfig:
 
     def __post_init__(self):
         if len(self.points) != len(self.labels):
-            raise ValueError("one label per point, please")
+            raise ConfigError("one label per point, please", "labels")
+        for i, label in enumerate(self.labels):
+            if label in self.labels[:i]:
+                raise ConfigError(f"duplicate label {label!r}", f"labels[{i}]")
         for a in range(len(self.points)):
             for b in range(a + 1, len(self.points)):
                 if self.points[a].same_point(self.points[b]):
-                    raise ValueError(f"points {self.labels[a]} and {self.labels[b]} coincide")
+                    raise ConfigError(f"points {self.labels[a]} and {self.labels[b]} coincide",
+                                      "points")
         for (i, j), k in self.incidences:
             if not collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1]):
                 raise ValueError(
@@ -130,10 +160,6 @@ class PointConfig:
 
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
-
-    def point_collinear(self, i: int, j: int, k: int) -> bool:
-        """Collinearity of three points by 1-based index."""
-        return collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1])
 
 
 @cache
@@ -167,14 +193,6 @@ def _monomials(d: int) -> list[tuple[int, int, int]]:
     return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
 
 
-def integer_coords(point: ProjectivePoint) -> tuple[int, int, int]:
-    """The point's coordinates scaled to coprime integers."""
-    denom = lcm(*(c.denominator for c in point.coords))
-    ints = [c.numerator * (denom // c.denominator) for c in point.coords]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
-
-
 def _partial_tables(value: int, d: int, t: int) -> list[list[int]]:
     """table[k][a] = the k-th derivative of v^a at v = value, for a <= d, k <= t."""
     powers = [value ** e for e in range(d + 1)]
@@ -182,26 +200,26 @@ def _partial_tables(value: int, d: int, t: int) -> list[list[int]]:
             for k in range(t + 1)]
 
 
-def interpolation_matrix(cfg: PointConfig, system: FatPointSystem) -> list[list[int]]:
-    """One integer row per vanishing condition, one column per degree-d
-    monomial.
+def interpolation_matrix(points, system: FatPointSystem, monomials) -> list[list[int]]:
+    """One integer row per vanishing condition, one column per monomial.
 
-    A point of multiplicity m > 0 gives its partials of order min(m - 1, d)
-    at its coprime integer coordinates (the lower orders follow, see the
-    module docstring); a point of multiplicity 0 gives none.
+    points are integer triples, one per multiplicity of the system, and
+    monomials the exponent triples (a, b, c) of the degree-d monomials to
+    build columns for.  A point of multiplicity m > 0 gives its partials of
+    order min(m - 1, d) (the lower orders follow, see the module
+    docstring); a point of multiplicity 0 gives none.
     """
     d = system.degree
-    monos = _monomials(d)
     rows = []
-    for idx, m in enumerate(system.multiplicities):
+    for point, m in zip(points, system.multiplicities):
         if m == 0:
             continue
         t = min(m - 1, d)
-        x, y, z = (_partial_tables(v, d, t) for v in integer_coords(cfg.points[idx]))
+        x, y, z = (_partial_tables(v, d, t) for v in point)
         for dx in range(t, -1, -1):
             for dy in range(t - dx, -1, -1):
                 px, py, pz = x[dx], y[dy], z[t - dx - dy]
-                rows.append([px[a] * py[b] * pz[c] for a, b, c in monos])
+                rows.append([px[a] * py[b] * pz[c] for a, b, c in monomials])
     return rows
 
 
@@ -227,7 +245,7 @@ def h0_fat_points(cfg: PointConfig, system: FatPointSystem) -> int:
     if len(mult) != cfg.n_points:
         raise ValueError("need one multiplicity per configured point")
     d = system.degree
-    ints = [integer_coords(p) for p in cfg.points]
+    ints = [p.coords for p in cfg.points]
     frame: list[int] = []
     for i in sorted(range(len(mult)), key=lambda i: -mult[i]):
         if mult[i] == 0 or len(frame) == 3:
@@ -246,19 +264,16 @@ def h0_fat_points(cfg: PointConfig, system: FatPointSystem) -> int:
     limit = [d] * 3
     for k, i in enumerate(frame):
         limit[k] = d - 1 - min(mult[i] - 1, d)
-    alive = [j for j, (a, b, c) in enumerate(_monomials(d))
+    alive = [(a, b, c) for a, b, c in _monomials(d)
              if a <= limit[0] and b <= limit[1] and c <= limit[2]]
     if not alive:
         return 0
-    # the moved coordinates stay ints: exact rationals are all a point needs
-    moved = PointConfig(
-        tuple(ProjectivePoint(tuple(_dot(row, p) for row in adjugate)) for p in ints),
-        cfg.labels)
+    moved = [_primitive([_dot(row, p) for row in adjugate]) for p in ints]
     rest = list(mult)
     for i in frame:
         rest[i] = 0
-    rows = interpolation_matrix(moved, FatPointSystem(d, tuple(rest)))
-    return len(alive) - exact_rank([[row[j] for j in alive] for row in rows])
+    return len(alive) - exact_rank(interpolation_matrix(moved, FatPointSystem(d, tuple(rest)),
+                                                        alive))
 
 
 def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None) -> int:
@@ -288,16 +303,3 @@ def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None
                 trace.append(f"removed fixed component e{i + 1} (class meets it in {mult[i]})")
             mult[i] += 1
     return h0_fat_points(cfg, FatPointSystem(d, tuple(mult)))
-
-
-def apply_projectivity(cfg: PointConfig, matrix) -> PointConfig:
-    """Transform every point by an exact invertible 3x3 matrix; incidence
-    assertions carry over (projectivities preserve collinearity)."""
-    mat = [[_to_fraction(x) for x in row] for row in matrix]
-    if _dot(_cross(mat[0], mat[1]), mat[2]) == 0:
-        raise ValueError("projectivity matrix is singular")
-    new_points = tuple(
-        ProjectivePoint(tuple(sum(mat[r][c] * p.coords[c] for c in range(3))
-                              for r in range(3)))
-        for p in cfg.points)
-    return PointConfig(new_points, cfg.labels, cfg.incidences)

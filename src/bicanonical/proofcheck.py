@@ -15,7 +15,6 @@ numerics and verifies each contradiction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .covers import (CoverInvariants, DoubleCoverInput, InternalInconsistency,
                      double_cover_invariants)
@@ -160,7 +159,8 @@ def reider_enumeration(K2: int) -> set[int]:
     for m in range(1, 11):
         C_sq = m * m
         K_C = 3 * m
-        if K_C - 2 <= C_sq and Fraction(C_sq) < Fraction(K_C, 2) < 2:
+        # C^2 < KC/2 < 2, doubled to stay in integers
+        if K_C - 2 <= C_sq and 2 * C_sq < K_C < 4:
             admissible.add(m)
     return admissible
 

@@ -1,0 +1,91 @@
+"""Second routes and fixtures that only the tests use.
+
+Each function here recomputes or builds something the library does not
+need for its own outputs: Riemann-Hurwitz over Q (against covers.rh_genus),
+projectivities of a configuration (h^0 is invariant under them), the inverse
+of an automorphism, the 225 Fermat bimonomials, the dual-basis line bundle
+degrees of P^1 branch data, and the Inoue building data.  The library does
+not import this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from bicanonical.covers import BranchDataSurface, InvalidCoverData
+from bicanonical.fermat import BiMonomial
+from bicanonical.grouplib import Automorphism
+from bicanonical.linsys import PointConfig, ProjectivePoint
+from bicanonical.piclattice import quadrilateral_catalog
+
+
+def rh_genus_numeric(cover_degree: int, branch) -> int:
+    """Riemann-Hurwitz over P^1 with branch points given as (count, inertia
+    order) pairs: 2 - 2g = deg * (2 - sum over branch points of (1 - 1/ord))."""
+    if cover_degree < 1:
+        raise InvalidCoverData("a cover has degree >= 1")
+    ram = Fraction(0)
+    for count, order in branch:
+        ram += count * (1 - Fraction(1, order))
+    chi_top = cover_degree * (2 - ram)
+    if chi_top.denominator != 1:
+        raise InvalidCoverData("Riemann-Hurwitz gives a non-integral Euler number")
+    chi_top = int(chi_top)
+    if chi_top % 2 != 0:
+        raise InvalidCoverData("Riemann-Hurwitz gives an odd Euler number")
+    return (2 - chi_top) // 2
+
+
+def apply_projectivity(cfg: PointConfig, matrix) -> PointConfig:
+    """Transform every point by an exact invertible 3x3 matrix; incidence
+    assertions carry over (projectivities preserve collinearity)."""
+    (a, b, c), (d, e, f), (g, h, i) = matrix
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) == 0:
+        raise ValueError("projectivity matrix is singular")
+    new_points = tuple(ProjectivePoint(tuple(sum(x * y for x, y in zip(row, p.coords))
+                                             for row in matrix))
+                       for p in cfg.points)
+    return PointConfig(new_points, cfg.labels, cfg.incidences)
+
+
+def inverse(psi: Automorphism) -> Automorphism:
+    """The inverse automorphism, read off the whole group."""
+    lookup = {psi(g): g for g in psi.group.elements()}
+    return Automorphism.from_images(
+        psi.group, [lookup[gen].coords for gen in psi.group.generators()])
+
+
+def all_bimonomials() -> list[BiMonomial]:
+    """All 225 bicanonical monomials, lexicographic in (i, j, alpha, beta)."""
+    return [BiMonomial(i, j, a, b)
+            for i in range(5) for j in range(5 - i)
+            for a in range(5) for b in range(5 - a)]
+
+
+def dual_basis_degrees(group, data) -> tuple[int, ...]:
+    """The line bundle degrees forced by the branch divisors (degree of L_i is
+    half the branch degree charged by the i-th dual basis character)."""
+    out = []
+    for i in range(group.rank):
+        chi = group.character([1 if j == i else 0 for j in range(group.rank)])
+        s = data.charged_degree(chi)
+        if s % 2 != 0:
+            raise InvalidCoverData(
+                f"charged branch degree {s} for character {chi.coords} is odd")
+        out.append(s // 2)
+    return tuple(out)
+
+
+def inoue_building_data() -> BranchDataSurface:
+    """Building data of the Z_2 x Z_2 cover of the quadrilateral blowup whose
+    minimal model is the Inoue surface with K^2 = 7: branch classes assembled
+    from the catalog divisors (one general member of |f_1| counted twice) and
+    the two square roots L_1, L_2."""
+    cat = quadrilateral_catalog()
+    comps = ((cat.Delta[0], cat.f[1], cat.S[0], cat.S[1]),
+             (cat.Delta[1], cat.f[2]),
+             (cat.Delta[2], cat.f[0], cat.f[0], cat.S[2], cat.S[3]))
+    D = tuple(sum(parts, cat.lattice.zero()) for parts in comps)
+    L1 = cat.lattice.cls({"l": 5, "e1": -1, "e2": -2, "e3": -1, "e4": -3, "e5": -2, "e6": -2})
+    L2 = cat.lattice.cls({"l": 6, "e1": -2, "e2": -2, "e3": -2, "e4": -2, "e5": -3, "e6": -3})
+    return BranchDataSurface(cat.lattice, D, (L1, L2), components=comps)

@@ -9,8 +9,7 @@ import random
 from bicanonical.beauville import (ProductQuotientSpec, bicanonical_report,
                                    fixed_point_elements, is_free)
 from bicanonical.covers import (BranchDataP1, double_cover_invariants,
-                                dual_basis_degrees, eigensheaf_degrees,
-                                genus_from_eigensheaves, inoue_building_data,
+                                eigensheaf_degrees, genus_from_eigensheaves,
                                 rh_genus, validate_building_data,
                                 z22_bicanonical_report, z22_element_name,
                                 z22_surface_cover_invariants)
@@ -20,10 +19,10 @@ from bicanonical.fermat import (builtin_ratio_identities, fermat_fixed_elements,
                                 verify_ratio_identity, verify_weight_derivation,
                                 x1_5_over_z1_5, x5_over_z5)
 from bicanonical.grouplib import Automorphism, GroupError, make_group
-from bicanonical.linsys import (FatPointSystem, apply_projectivity, h0_class,
-                                h0_fat_points, quadrilateral_config)
+from bicanonical.linsys import FatPointSystem, h0_class, h0_fat_points, quadrilateral_config
 from bicanonical.piclattice import quadrilateral_catalog
 from bicanonical.proofcheck import check_corollary, reider_enumeration, run_case_table
+from oracles import apply_projectivity, dual_basis_degrees, inoue_building_data
 
 
 def _report(n, text):

@@ -279,7 +279,10 @@ def test_product_quotient_group_order_is_capped(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.Automorphism, "from_images", no_enumeration)
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, _cyclic_pq_payload([26, 25])))
     assert code == 1
-    assert out.startswith("error: $.group: group order 650 exceeds the limit of 625")
+    assert out.startswith("error: $.group: group order 650 exceeds the limit of 512")
+    # Z2^10 is the first group of exponent 2 that the cap rejects
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, _cyclic_pq_payload([2] * 10)))
+    assert (code, out) == (1, "error: $.group: group order 1024 exceeds the limit of 512\n")
 
 
 def test_product_quotient_at_the_cap_runs_past_it(tmp_path, capsys):
@@ -397,6 +400,20 @@ def test_z22_input_errors_name_their_path(tmp_path, capsys, field, value, messag
     payload[field].update(value)
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert (code, out) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("points, labels, message", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["A", "B"], "$.labels: one label per point, please"),
+    ([[1, 0, 0], [2, 0, 0], [0, 0, 1]], None, "$.points: points P1 and P2 coincide"),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ["A", "A", "B"], "$.labels[1]: duplicate label 'A'"),
+], ids=["label-count", "coinciding-points", "duplicate-label"])
+def test_linsys_configuration_errors_name_their_path(tmp_path, capsys, points, labels, message):
+    payload = {"kind": "linsys", "points": points,
+               "systems": [{"degree": 2, "multiplicities": {}}]}
+    if labels is not None:
+        payload["labels"] = labels
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, f"error: validation failed: {message}\n")
 
 
 def test_linsys_unknown_point_label_names_its_system(tmp_path, capsys):

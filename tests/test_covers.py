@@ -3,15 +3,15 @@ import pytest
 from bicanonical.covers import (BranchDataP1, BranchDataSurface, CoverInvariants,
                                 DoubleCoverInput, InternalInconsistency,
                                 InvalidCoverData, double_cover_invariants,
-                                dual_basis_degrees, eigensheaf_degrees,
-                                genus_from_degrees, genus_from_eigensheaves,
-                                inoue_building_data, projection_decomposition,
-                                rh_genus, rh_genus_numeric, validate_building_data,
+                                eigensheaf_degrees, genus_from_degrees,
+                                genus_from_eigensheaves, projection_decomposition,
+                                rh_genus, validate_building_data,
                                 z22_bicanonical_report, z22_element_name,
                                 z22_surface_cover_invariants)
 from bicanonical.grouplib import make_group
 from bicanonical.linsys import h0_class, quadrilateral_config
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
+from oracles import dual_basis_degrees, inoue_building_data, rh_genus_numeric
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +42,6 @@ def test_double_cover_trivial_branch():
 def test_double_cover_rejects_half_integral_chi():
     with pytest.raises(InvalidCoverData):
         double_cover_invariants(DoubleCoverInput("odd", 1, 0, 7, 0, 1, 0))
-
-
-def test_double_cover_from_classes_checks_branch():
-    lat = make_blowup_lattice(2)
-    K = lat.cls((-3, 1, 1))
-    M = lat.cls((1, 0, -1))
-    DoubleCoverInput.from_classes("ok", 1, 0, K, M, 2, branch=2 * M)
-    with pytest.raises(InvalidCoverData):
-        DoubleCoverInput.from_classes("bad", 1, 0, K, M, 2, branch=lat.cls((2, 0, -1)))
 
 
 def test_invariants_require_consistency():
@@ -234,22 +225,24 @@ def test_z22_report(h0):
 
 
 def test_z22_naming_convention():
-    from bicanonical.covers import Z22_CHIS, Z22_GAMMAS
+    from bicanonical.covers import Z22_CHIS
 
+    G = Z22_CHIS[0].group
+    gammas = [G.element(c) for c in ((1, 0), (0, 1), (1, 1))]
     # chi_i is the unique nontrivial character orthogonal to gamma_i
     for i in range(3):
-        assert Z22_CHIS[i].pairing(Z22_GAMMAS[i]) == 0
+        assert Z22_CHIS[i].pairing(gammas[i]) == 0
         for j in range(3):
             if j != i:
-                assert Z22_CHIS[i].pairing(Z22_GAMMAS[j]) != 0
-    assert [z22_element_name(g) for g in Z22_GAMMAS] == ["γ₁", "γ₂", "γ₃"]
+                assert Z22_CHIS[i].pairing(gammas[j]) != 0
+    assert [z22_element_name(g) for g in gammas] == ["γ₁", "γ₂", "γ₃"]
 
 
 def test_branch_degree_accessors():
     G, c1, _ = z23_curves()
     g1 = G.generators()[0]
-    assert c1.degree_of(g1) == 2
-    assert c1.degree_of(g1 + G.generators()[1]) == 0
+    assert c1.degrees.get(g1, 0) == 2
+    assert c1.degrees.get(g1 + G.generators()[1], 0) == 0
     assert c1.total_degree() == 6
     assert [d for _, d in c1.sorted_entries()] == [2, 2, 2]
 

@@ -1,18 +1,18 @@
 import random
 from fractions import Fraction
-from math import perm
+from math import gcd, perm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bicanonical.exactlinalg import exact_rank
-from bicanonical.linsys import (FatPointSystem, PointConfig, ProjectivePoint,
-                                apply_projectivity, collinear, h0_class,
-                                h0_fat_points, interpolation_matrix,
+from bicanonical.linsys import (ConfigError, FatPointSystem, PointConfig, ProjectivePoint,
+                                collinear, h0_class, h0_fat_points, interpolation_matrix,
                                 quadrilateral_config)
 from bicanonical.linsys import MAX_DEGREE, MAX_FIXED_COMPONENTS
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
+from oracles import apply_projectivity
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +26,15 @@ def lat():
 
 
 def test_quadrilateral_incidences(cfg):
+    def on_a_line(i, j, k):  # 1-based, as in the incidence assertions
+        return collinear(cfg.points[i - 1], cfg.points[j - 1], cfg.points[k - 1])
+
     # P5 on the line P3P4 (and P1P2); P6 on P1P4 and P2P3
-    assert cfg.point_collinear(3, 4, 5)
-    assert cfg.point_collinear(1, 2, 5)
-    assert cfg.point_collinear(1, 4, 6)
-    assert cfg.point_collinear(2, 3, 6)
-    assert not cfg.point_collinear(1, 2, 3)
+    assert on_a_line(3, 4, 5)
+    assert on_a_line(1, 2, 5)
+    assert on_a_line(1, 4, 6)
+    assert on_a_line(2, 3, 6)
+    assert not on_a_line(1, 2, 3)
 
 
 def test_quadrilateral_config_is_built_once(cfg, lat):
@@ -50,14 +53,46 @@ def test_incidence_assertions_are_verified():
 
 def test_coincident_points_rejected():
     pts = (ProjectivePoint.of(1, 0, 0), ProjectivePoint.of(2, 0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="points A and B coincide") as err:
         PointConfig(pts, ("A", "B"))
+    assert err.value.field == "points"
+
+
+def test_labels_are_one_per_point_and_distinct():
+    pts = (ProjectivePoint.of(1, 0, 0), ProjectivePoint.of(0, 1, 0),
+           ProjectivePoint.of(0, 0, 1))
+    with pytest.raises(ConfigError, match="one label per point") as err:
+        PointConfig(pts, ("A", "B"))
+    assert err.value.field == "labels"
+    with pytest.raises(ConfigError, match="duplicate label 'A'") as err:
+        PointConfig(pts, ("A", "B", "A"))
+    assert err.value.field == "labels[2]"
 
 
 def test_exact_coordinates_required():
     with pytest.raises(TypeError):
         ProjectivePoint.of(0.5, 1, 1)
+    with pytest.raises(TypeError):
+        ProjectivePoint((1, 0.5, 1))
     assert ProjectivePoint.of("1/2", 1, 1).same_point(ProjectivePoint.of(1, 2, 2))
+    # coords is the coprime integer triple, signs kept
+    assert ProjectivePoint.of("-1/2", 0, Fraction(3, 4)).coords == (-2, 0, 3)
+    assert ProjectivePoint((-4, -6, 0)).coords == (-2, -3, 0)
+
+
+_rational = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)
+
+
+@given(st.tuples(_rational, _rational, _rational).filter(any), _rational.filter(bool))
+@settings(max_examples=200)
+def test_a_point_is_stored_as_coprime_integers(p, lam):
+    point, scaled = ProjectivePoint.of(*p), ProjectivePoint.of(*(lam * c for c in p))
+    for q in (point, scaled):
+        assert all(type(c) is int for c in q.coords)
+        assert gcd(*q.coords) == 1
+    assert scaled.same_point(point)
+    # the scale is taken out without canonicalising the sign
+    assert scaled.coords == tuple(c if lam > 0 else -c for c in point.coords)
 
 
 def test_collinear_determinant():
@@ -265,18 +300,42 @@ def _row_bound(system):
     return sum((t + 1) * (t + 2) // 2 for t in ts)
 
 
+def all_monomials(d):
+    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+
+
+def full_matrix(cfg, system):
+    """The interpolation matrix over every degree-d monomial."""
+    return interpolation_matrix([p.coords for p in cfg.points], system,
+                                all_monomials(system.degree))
+
+
 @given(st.integers(0, 10), st.lists(st.integers(0, 12), min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_interpolation_rows_are_the_top_order_partials(d, mult):
     system = FatPointSystem(d, tuple(mult))
-    rows = interpolation_matrix(quadrilateral_config(), system)
+    rows = full_matrix(quadrilateral_config(), system)
     assert len(rows) == _row_bound(system)
     assert all(type(x) is int for row in rows for x in row)
 
 
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+                .filter(any), min_size=1, max_size=4),
+       st.integers(0, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_columns_built_are_the_columns_asked_for(points, d, data):
+    system = FatPointSystem(d, tuple(data.draw(st.lists(
+        st.integers(0, 4), min_size=len(points), max_size=len(points)))))
+    monos = all_monomials(d)
+    alive = sorted(data.draw(st.sets(st.sampled_from(range(len(monos))))))
+    full = interpolation_matrix(points, system, monos)
+    assert interpolation_matrix(points, system, [monos[j] for j in alive]) == \
+        [[row[j] for j in alive] for row in full]
+
+
 def test_multiplicity_far_above_the_degree(cfg):
     system = FatPointSystem(5, (40, 0, 0, 0, 0, 0))
-    assert len(interpolation_matrix(cfg, system)) == 21
+    assert len(full_matrix(cfg, system)) == 21
     assert h0_fat_points(cfg, system) == 0
 
 
@@ -307,7 +366,7 @@ def unframed_h0(cfg, system):
     """The integer route without a frame: every condition of every point,
     eliminated over all degree-d monomials."""
     n_monomials = (system.degree + 1) * (system.degree + 2) // 2
-    return n_monomials - exact_rank(interpolation_matrix(cfg, system))
+    return n_monomials - exact_rank(full_matrix(cfg, system))
 
 
 def _framed_case(coords, d, mult):
