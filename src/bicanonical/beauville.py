@@ -21,19 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
-                     InvalidCoverData, Verdict, eigensheaf_degrees,
-                     genus_from_eigensheaves, make_verdict, rh_genus,
-                     validate_building_data)
-from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
-                       common_kernel)
-
-
-@dataclass
-class ProductQuotientSpec:
-    group: AbelianGroup
-    psi: Automorphism
-    branch1: BranchDataP1
-    branch2: BranchDataP1
+                     InvalidCoverData, Verdict, eigensheaf_degrees, genus_from_degrees,
+                     make_verdict, rh_genus, validate_building_data)
+from .grouplib import Automorphism, GroupElement, Subgroup, common_kernel
 
 
 def fixed_point_elements(data: BranchDataP1) -> frozenset[GroupElement]:
@@ -89,8 +79,8 @@ def _h0_p1xp1(a: int, b: int) -> int:
 
 @dataclass
 class EigenEntry:
-    factors: tuple[Character, Character]  # (chi1, chi2) in Gamma-perp
-    bidegree: tuple[int, int]            # of the product eigensheaf M_chi
+    character: tuple[int, ...]  # coordinates of chi1, then of chi2: (chi1, chi2) in Gamma-perp
+    bidegree: tuple[int, int]   # of the product eigensheaf M_chi
     dimension: int
 
 
@@ -105,37 +95,42 @@ class BicanonicalReport:
     verdict: Verdict
 
 
-def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
-    for number, data in enumerate((spec.branch1, spec.branch2), 1):
+def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
+                       branch2: BranchDataP1) -> BicanonicalReport:
+    """The bicanonical eigentable and verdict of the quotient of the two
+    covers, both of them covers for the group of psi."""
+    group = psi.group
+    for number, data in enumerate((branch1, branch2), 1):
+        if data.group != group:
+            raise InvalidCoverData(f"curve {number} is a cover for the group "
+                                   f"{data.group.moduli}, not for {group.moduli}")
         validate_building_data(data).require(f"curve {number}")
 
-    g1, g2 = rh_genus(spec.branch1), rh_genus(spec.branch2)
-    invariants = beauville_invariants(g1, g2, spec.group.order)
+    g1, g2 = rh_genus(branch1), rh_genus(branch2)
+    invariants = beauville_invariants(g1, g2, group.order)
 
-    free, witness = is_free(spec.psi, fixed_point_elements(spec.branch1),
-                            fixed_point_elements(spec.branch2))
+    free, witness = is_free(psi, fixed_point_elements(branch1), fixed_point_elements(branch2))
     if not free:
         raise InvalidCoverData(
             f"the graph action is not free: witness {witness.coords}")
 
-    bidegree = two_k_bidegree(spec.branch1, spec.branch2)
-    table1 = eigensheaf_degrees(spec.branch1)
-    table2 = eigensheaf_degrees(spec.branch2)
+    bidegree = two_k_bidegree(branch1, branch2)
+    table1, table2 = eigensheaf_degrees(branch1), eigensheaf_degrees(branch2)
     # the two genus routes must agree before we rely on the tables
     for g, table in ((g1, table1), (g2, table2)):
-        if genus_from_eigensheaves(table) != g:
+        if genus_from_degrees(table.values()) != g:
             raise InternalInconsistency("eigensheaf table disagrees with Riemann-Hurwitz")
 
     # Gamma-perp comes straight from psi: (-(chi2 o psi), chi2) for every
     # character chi2 of G, in the order of the pair coordinates
-    group, psi = spec.group, spec.psi
+    moduli, rank = group.moduli, group.rank
     entries = []
-    for chi2 in group.characters():
-        chi1 = -Character._of(group, psi.pullback(chi2.coords))
-        d = (table1.degree(chi1), table2.degree(chi2))
+    for chi2 in group.coordinate_vectors():
+        chi1 = tuple((-c) % m for c, m in zip(psi.pullback(chi2), moduli))
+        d = (table1[chi1], table2[chi2])
         dim = _h0_p1xp1(bidegree[0] - d[0], bidegree[1] - d[1])
-        entries.append(EigenEntry((chi1, chi2), d, dim))
-    entries.sort(key=lambda e: e.factors[0].coords + e.factors[1].coords)
+        entries.append(EigenEntry(chi1 + chi2, d, dim))
+    entries.sort(key=lambda e: e.character)
 
     # each contributing pair must kill the graph generators (g, psi(g)); it
     # then descends to its second factor on G = (G x G)/Gamma
@@ -143,10 +138,11 @@ def bicanonical_report(spec: ProductQuotientSpec) -> BicanonicalReport:
     contributing = []
     for entry in entries:
         if entry.dimension > 0:
-            chi1, chi2 = entry.factors
+            chi1 = group.character(entry.character[:rank])
+            chi2 = group.character(entry.character[rank:])
             if any((chi1.pairing(g) + chi2.pairing(h)) % group.exponent for g, h in graph):
                 raise InternalInconsistency(
-                    f"character {chi1.coords + chi2.coords} does not vanish on the graph, "
+                    f"character {entry.character} does not vanish on the graph, "
                     "so it does not descend")
             contributing.append(chi2)
 

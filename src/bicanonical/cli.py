@@ -106,9 +106,8 @@ def _enum(options, schema):
 
 
 def _bound(limit, above, wording):
-    def check(value, path, errors):
-        if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and (value > limit if above else value < limit)):
+    def check(value, path, errors):  # type(True) is bool, so no bool is bounded
+        if type(value) in (int, float) and (value > limit if above else value < limit):
             errors.append((path, f"{value!r} {wording} {limit!r}"))
     return check
 
@@ -244,8 +243,11 @@ def _closed(properties, required=(), **extra):
             "additionalProperties": False, **extra}
 
 
-_INT = {"type": "integer"}
-_NATURAL = {"type": "integer", "minimum": 0}
+# every scenario integer lies in [-MAX_INTEGER, MAX_INTEGER], so no exact
+# computation meets thousand-digit entries
+MAX_INTEGER = 2**31
+_INT = {"type": "integer", "minimum": -MAX_INTEGER, "maximum": MAX_INTEGER}
+_NATURAL = {"type": "integer", "minimum": 0, "maximum": MAX_INTEGER}
 _STRING = {"type": "string"}
 _COEFF_MAP = {"type": "object", "additionalProperties": _INT}
 _NAME_LIST = {"type": "array", "items": _STRING, "minItems": 1}
@@ -275,7 +277,8 @@ _KIND_FIELDS = {
         "line_bundles": _closed({"L1": _COEFF_MAP, "L2": _COEFF_MAP}, ["L1", "L2"]),
     }),
     "product-quotient": (["group", "automorphism", "curve1", "curve2"], {
-        "group": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 1},
+        "group": {"type": "array", "items": {"type": "integer", "minimum": 2,
+                                             "maximum": MAX_INTEGER}, "minItems": 1},
         "automorphism": {"type": "array", "items": _ELEMENT},
         "curve1": _CURVE,
         "curve2": _CURVE,
@@ -311,8 +314,8 @@ _KIND_FIELDS = {
             {"op": {"enum": list(_LATTICE_OPS)},
              "a": _COEFF_MAP,
              "b": _COEFF_MAP,
-             "degree": {"type": "integer", "minimum": 1},
-             "k": {"type": "integer", "minimum": 2},
+             "degree": {"type": "integer", "minimum": 1, "maximum": MAX_INTEGER},
+             "k": {"type": "integer", "minimum": 2, "maximum": MAX_INTEGER},
              "gram": {"type": "array", "maxItems": 20,
                       "items": {"type": "array", "items": _INT, "maxItems": 20}}},
             ["op"],
@@ -507,14 +510,14 @@ def run_product_quotient(payload, verbose=False):
                 "checks": _checks(validation)})
         validation.require(f"curve {number}")
 
-    report = beauville.bicanonical_report(beauville.ProductQuotientSpec(group, psi, *curves))
+    report = beauville.bicanonical_report(psi, *curves)
     result = {
         "group": list(group.moduli),
         "genera": list(report.genera),
         "invariants": _invariants(report.invariants),
         "free": True,
         "bidegree": list(report.bidegree),
-        "eigentable": [{"character": [*e.factors[0].coords, *e.factors[1].coords],
+        "eigentable": [{"character": list(e.character),
                         "bidegree": list(e.bidegree), "dimension": e.dimension}
                        for e in report.entries],
         "p2": report.p2,
@@ -794,6 +797,8 @@ def load_scenario(arg: str) -> dict:
         raise ScenarioError(f"{source}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"cannot read {arg!r}: {exc}")
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise ScenarioError(f"{source}: {exc}")
 
 
 def run_scenario(payload: dict, verbose: bool = False):

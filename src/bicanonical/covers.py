@@ -171,13 +171,17 @@ class BranchDataP1:
         return sum(self.degrees.values())
 
     def charged_degree(self, chi: Character) -> int:
-        """Total branch degree on elements outside ker(chi): chi(g) is the
-        dot product of chi's coordinates with g's weighted coordinates."""
+        """Total branch degree on elements outside ker(chi)."""
         group = self.group
         if self._weighted and chi.group is not group and chi.group != group:
             raise GroupError("character paired with an element of another group")
-        coords, ex = chi.coords, group.exponent
-        return sum(d for row, d in self._weighted if sum(map(mul, coords, row)) % ex)
+        return self._charged(chi.coords)
+
+    def _charged(self, chi: tuple[int, ...]) -> int:
+        """The charged degree of the character with coordinates chi: chi(g)
+        is the dot product of chi with g's weighted coordinates."""
+        ex = self.group.exponent
+        return sum(d for row, d in self._weighted if sum(map(mul, chi, row)) % ex)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -197,8 +201,9 @@ class BranchDataP1:
             checks.append(ValidationCheck("line bundles given", False,
                                           "no line bundle degrees were supplied"))
         else:
-            for i, chi in enumerate(_dual_basis(self.group)):
-                charged = self.charged_degree(chi)
+            rank = self.group.rank
+            for i in range(rank):
+                charged = self._charged(tuple(int(j == i) for j in range(rank)))
                 checks.append(ValidationCheck(
                     f"2L{i + 1} matches the charged branch degree",
                     2 * self.line_bundles[i] == charged,
@@ -207,11 +212,6 @@ class BranchDataP1:
 
     def sorted_entries(self) -> list[tuple[GroupElement, int]]:
         return sorted(self.degrees.items(), key=lambda item: item[0].coords)
-
-
-def _dual_basis(group: AbelianGroup) -> list[Character]:
-    return [group.character([1 if j == i else 0 for j in range(group.rank)])
-            for i in range(group.rank)]
 
 
 def validate_building_data(data) -> ValidationReport:
@@ -238,55 +238,29 @@ def rh_genus(data: BranchDataP1) -> int:
     return (2 - chi_top) // 2
 
 
-@dataclass(frozen=True)
-class EigensheafTable:
-    """Degree of the character eigensheaf L_chi for every character, in
-    lexicographic character order; the trivial character has degree 0."""
-
-    group: AbelianGroup
-    degrees: tuple[tuple[Character, int], ...]
-
-    @cached_property
-    def _by_character(self) -> dict[Character, int]:
-        return dict(self.degrees)
-
-    def degree(self, chi: Character) -> int:
-        try:
-            return self._by_character[chi]
-        except KeyError:
-            raise KeyError(f"character {chi.coords} is not in the table") from None
-
-    def degree_list(self) -> list[int]:
-        return [d for _, d in self.degrees]
-
-
-def eigensheaf_degrees(data: BranchDataP1) -> EigensheafTable:
-    """Eigensheaf degrees for a 2-elementary group: deg L_chi is half the
-    charged branch degree.  Groups with a factor of order > 2 would need the
-    general eigensheaf formula, which is out of scope here, so they are
-    rejected outright rather than guessed at."""
+def eigensheaf_degrees(data: BranchDataP1) -> dict[tuple[int, ...], int]:
+    """Degree of the eigensheaf L_chi for every character chi, keyed by its
+    coordinates in the order of coordinate_vectors(); the trivial character
+    has degree 0.  For a 2-elementary group deg L_chi is half the charged
+    branch degree.  Groups with a factor of order > 2 would need the general
+    eigensheaf formula, which is out of scope here, so they are rejected
+    outright rather than guessed at."""
     if any(m != 2 for m in data.group.moduli):
         raise InvalidCoverData(
             "eigensheaf degrees are implemented only for groups of exponent 2")
-    table = []
-    for chi in data.group.characters():
-        s = data.charged_degree(chi)
+    table = {}
+    for chi in data.group.coordinate_vectors():
+        s = data._charged(chi)
         if s % 2 != 0:
-            raise InvalidCoverData(
-                f"charged branch degree {s} for character {chi.coords} is odd")
-        table.append((chi, s // 2))
-    return EigensheafTable(data.group, tuple(table))
+            raise InvalidCoverData(f"charged branch degree {s} for character {chi} is odd")
+        table[chi] = s // 2
+    return table
 
 
 def genus_from_degrees(degrees) -> int:
-    """g = 1 - sum over characters of (1 - deg L_chi)."""
+    """g = 1 - sum over characters of (1 - deg L_chi): the genus of the cover
+    from its eigensheaf degrees, independent of the Riemann-Hurwitz route."""
     return 1 - sum(1 - d for d in degrees)
-
-
-def genus_from_eigensheaves(table: EigensheafTable) -> int:
-    """Genus of the cover from its eigensheaf table; independent of the
-    Riemann-Hurwitz route."""
-    return genus_from_degrees(table.degree_list())
 
 
 class BranchDataSurface:

@@ -89,12 +89,6 @@ def factor_weight(u, i: int, j: int) -> int:
     return (a * (i + 2) + b * (j + 2)) % 5
 
 
-def product_action_weight(u, v, i: int, j: int, alpha: int, beta: int) -> int:
-    """First-principles weight of the element (u, v) of G x G acting
-    factorwise: the sum of the two factor weights."""
-    return (factor_weight(u, i, j) + factor_weight(v, alpha, beta)) % 5
-
-
 def verify_weight_derivation() -> bool:
     """Check, exhaustively over all residues mod 5, that the closed weight
     formula agrees with the factorwise action of (g, psi(g)).
@@ -170,10 +164,10 @@ def verify_ratio_identity(target: RatioVector, combo) -> bool:
     return combination_vector(combo) == target.exponents
 
 
-def ratio_lattice(monomials=None) -> list[RatioVector]:
+def ratio_lattice(monomials) -> list[RatioVector]:
     """Generators of the lattice of ratios: m / m0 for a fixed base monomial.
     Any base gives the same lattice since differences of differences span it."""
-    ms = invariant_monomials() if monomials is None else list(monomials)
+    ms = list(monomials)
     if len(ms) < 2:
         return []
     base = ms[0]
@@ -193,14 +187,13 @@ def x1_5_over_z1_5() -> RatioVector:
     return RatioVector.of(x1=5, z1=-5)
 
 
-def builtin_ratio_identities(monomials=None) -> list[
+def builtin_ratio_identities(monomials) -> list[
         tuple[str, RatioVector, list[tuple[BiMonomial, int]]]]:
     """The two displayed factorisations of the quotient-map coordinate
-    functions as products of invariant monomials (taken from `monomials`,
-    invariant_monomials() when not given).  A named monomial that is not
-    among them is an InternalInconsistency: the weight formula has drifted."""
-    ms = invariant_monomials() if monomials is None else monomials
-    m = {str(mono): mono for mono in ms}
+    functions as products of the given invariant monomials.  A named
+    monomial that is not among them is an InternalInconsistency: the weight
+    formula has drifted."""
+    m = {str(mono): mono for mono in monomials}
     try:
         first = [(m["x^3*y*x1^2*y1^2"], 1), (m["x^4*y1*z1^3"], 1),
                  (m["x^2*y*z*x1*z1^3"], -1), (m["z^4*x1*y1^3"], -1)]
@@ -219,14 +212,13 @@ def residual_character(m: BiMonomial) -> Character:
     invariant monomial.  Under (a, b) -> b - psi(a) the class of g has the
     representative (0, g), which acts on the second factor alone."""
     return FERMAT_GROUP.character(
-        [product_action_weight((0, 0), gen.coords, m.i, m.j, m.alpha, m.beta)
-         for gen in FERMAT_GROUP.generators()])
+        [factor_weight(gen.coords, m.alpha, m.beta) for gen in FERMAT_GROUP.generators()])
 
 
-def residual_kernel(monomials=None) -> Subgroup:
+def residual_kernel(monomials) -> Subgroup:
     """Elements of the residual group acting trivially on every ratio of the
     given monomials: the common kernel of the difference characters."""
-    ms = invariant_monomials() if monomials is None else list(monomials)
+    ms = list(monomials)
     if len(ms) <= 1:
         return Subgroup(FERMAT_GROUP, FERMAT_GROUP.elements())
     base = residual_character(ms[0])

@@ -17,10 +17,16 @@ generators' weighted coordinates; group objects are built only for the
 members that survive.  An automorphism psi acts on characters by pullback,
 chi -> chi o psi, written down from its matrix (Automorphism.pullback); the
 characters of G x G killing the graph of psi are the pairs
-(-(chi o psi), chi), so no G x G is ever built.  Arithmetic results are
-reduced by construction and skip the checks of the public constructors, and
-an automorphism checks its bijectivity on raw coordinate tuples.  The
-command line caps the group order at MAX_GROUP_ORDER.
+(-(chi o psi), chi), so no G x G is ever built.
+
+Elements and characters have one constructor, `_of`, which takes
+coordinates that are already reduced residues: arithmetic results are
+reduced by construction, and AbelianGroup.element and .character reduce
+(and check the length of) what they are given first.  Calling
+GroupElement(...) or Character(...) directly raises TypeError, so no
+unchecked public path exists.  An automorphism checks its bijectivity on
+raw coordinate tuples.  The command line caps the group order at
+MAX_GROUP_ORDER.
 """
 
 from __future__ import annotations
@@ -83,10 +89,10 @@ class AbelianGroup:
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
     def element(self, coords) -> "GroupElement":
-        return GroupElement(self, self._reduce(coords))
+        return GroupElement._of(self, self._reduce(coords))
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
+        return GroupElement._of(self, (0,) * self.rank)
 
     def generators(self) -> list["GroupElement"]:
         return [self.element([1 if j == i else 0 for j in range(self.rank)])
@@ -96,7 +102,7 @@ class AbelianGroup:
         return [GroupElement._of(self, coords) for coords in self.coordinate_vectors()]
 
     def character(self, coords) -> "Character":
-        return Character(self, self._reduce(coords))
+        return Character._of(self, self._reduce(coords))
 
     def characters(self) -> list["Character"]:
         return [Character._of(self, coords) for coords in self.coordinate_vectors()]
@@ -118,19 +124,11 @@ class _Residues:
 
     @classmethod
     def _of(cls, group: AbelianGroup, coords: tuple[int, ...]):
-        """An instance from coordinates that are already reduced residues of
-        the group, as every arithmetic result is; skips the checks of the
-        public constructor."""
+        """The only constructor: an instance from coordinates that are
+        already reduced residues of the group (see the module docstring)."""
         obj = object.__new__(cls)
         obj.__dict__.update(group=group, coords=coords)
         return obj
-
-    def __post_init__(self):
-        """The public constructor's checks: one reduced residue per factor."""
-        if len(self.coords) != self.group.rank:
-            raise GroupError("coordinate length does not match the group rank")
-        if any(not 0 <= c < m for c, m in zip(self.coords, self.group.moduli)):
-            raise GroupError("coordinates must be reduced residues")
 
     def _check(self, other):
         if type(other) is not type(self) or (other.group is not self.group
@@ -160,7 +158,7 @@ class _Residues:
         return all(c == 0 for c in self.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupElement(_Residues):
     group: AbelianGroup
     coords: tuple[int, ...]
@@ -169,7 +167,7 @@ class GroupElement(_Residues):
         return lcm(*(m // gcd(c, m) for c, m in zip(self.coords, self.group.moduli)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Character(_Residues):
     group: AbelianGroup
     coords: tuple[int, ...]
@@ -208,7 +206,7 @@ class Automorphism:
     @classmethod
     def from_images(cls, group: AbelianGroup, images) -> "Automorphism":
         """Build from the list of images of the standard generators."""
-        imgs = [group.element(v).coords for v in images]
+        imgs = [group._reduce(v) for v in images]
         if len(imgs) != group.rank:
             raise GroupError("need exactly one image per generator")
         matrix = tuple(tuple(imgs[j][i] for j in range(group.rank))
@@ -310,13 +308,9 @@ def orthogonal_complement(sub: Subgroup) -> Subgroup:
     return Subgroup(group, chars)
 
 
-def common_kernel(chars, group: AbelianGroup | None = None) -> Subgroup:
-    """Intersection of the kernels of the given characters."""
+def common_kernel(chars, group: AbelianGroup) -> Subgroup:
+    """Intersection of the kernels of the given characters of the group."""
     chars = list(chars)
-    if group is None:
-        if not chars:
-            raise GroupError("need the group when no characters are given")
-        group = chars[0].group
     if any(chi.group != group for chi in chars):
         raise GroupError("characters of different groups")
     members = [GroupElement._of(group, c)

@@ -1,8 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
-from bicanonical.beauville import (ProductQuotientSpec, beauville_invariants,
-                                   bicanonical_report, fixed_point_elements, is_free,
-                                   two_k_bidegree)
+from bicanonical.beauville import (beauville_invariants, bicanonical_report,
+                                   fixed_point_elements, is_free, two_k_bidegree)
 from bicanonical.covers import BranchDataP1, InternalInconsistency, InvalidCoverData
 from bicanonical.grouplib import Automorphism, make_group
 from oracles import inverse
@@ -10,6 +11,19 @@ from oracles import inverse
 
 def identity(group):
     return Automorphism.from_images(group, [g.coords for g in group.generators()])
+
+
+def spec_of(G, psi, c1, c2):
+    return SimpleNamespace(group=G, psi=psi, branch1=c1, branch2=c2)
+
+
+def report_of(spec):
+    return bicanonical_report(spec.psi, spec.branch1, spec.branch2)
+
+
+def factors(G, entry):
+    """The pair (chi1, chi2) of characters an eigentable entry stands for."""
+    return (G.character(entry.character[:G.rank]), G.character(entry.character[G.rank:]))
 
 
 def z23_spec():
@@ -20,7 +34,7 @@ def z23_spec():
                       line_bundles=[1, 1, 1])
     c2 = BranchDataP1(G, {g1: ("Q1",), g2: ("Q2",), g1 + g2: ("Q3",),
                           g3: ("Q4", "Q5")}, line_bundles=[1, 1, 1])
-    return ProductQuotientSpec(G, psi, c1, c2)
+    return spec_of(G, psi, c1, c2)
 
 
 def z24_spec():
@@ -35,7 +49,7 @@ def z24_spec():
         entries.update({gens[i]: (f"{prefix}{i + 1}",) for i in range(4)})
         return BranchDataP1(G, entries, line_bundles=[1, 1, 1, 1])
 
-    return ProductQuotientSpec(G, psi, curve("P"), curve("Q"))
+    return spec_of(G, psi, curve("P"), curve("Q"))
 
 
 def test_fixed_point_elements():
@@ -115,9 +129,9 @@ def test_induced_character_is_representative_independent():
     # any other representative (a, psi(a) + g) of the same class it agrees
     spec = z23_spec()
     G, psi = spec.group, spec.psi
-    report = bicanonical_report(spec)
+    report = report_of(spec)
     for entry in report.entries:
-        chi1, chi2 = entry.factors
+        chi1, chi2 = factors(G, entry)
         for g in G.elements():
             for a in G.elements():
                 assert (chi1.pairing(a) + chi2.pairing(psi(a) + g)) % G.exponent \
@@ -129,7 +143,7 @@ def test_induced_character_requires_descent(monkeypatch):
     # descent check on the contributing pairs catches them
     monkeypatch.setattr(Automorphism, "pullback", Automorphism._image)
     with pytest.raises(InternalInconsistency, match="does not descend"):
-        bicanonical_report(z24_spec())
+        report_of(z24_spec())
 
 
 EXPECTED_Z23_TABLE = {
@@ -145,12 +159,12 @@ EXPECTED_Z23_TABLE = {
 
 
 def test_bicanonical_report_z23():
-    report = bicanonical_report(z23_spec())
+    report = report_of(z23_spec())
     assert report.genera == (5, 3)
     assert report.bidegree == (2, 1)
     assert report.p2 == 9
-    table = {e.factors[0].coords + e.factors[1].coords: (e.bidegree, e.dimension)
-             for e in report.entries}
+    table = {e.character: (e.bidegree, e.dimension) for e in report.entries}
+    assert [e.character for e in report.entries] == sorted(table)
     assert table == EXPECTED_Z23_TABLE
     kernel_coords = [g.coords for g in report.kernel.elements()]
     assert kernel_coords == [(0, 0, 0), (0, 0, 1)]
@@ -159,7 +173,7 @@ def test_bicanonical_report_z23():
 
 
 def test_bicanonical_report_z24():
-    report = bicanonical_report(z24_spec())
+    report = report_of(z24_spec())
     assert report.genera == (5, 5)
     assert report.bidegree == (1, 1)
     dims = sorted((e.dimension for e in report.entries), reverse=True)
@@ -173,12 +187,12 @@ def test_bicanonical_report_z24():
 def test_eigentable_supported_on_gamma_perp_only():
     spec = z23_spec()
     G, psi = spec.group, spec.psi
-    report = bicanonical_report(spec)
-    table = {e.factors[0].coords + e.factors[1].coords: e.dimension for e in report.entries}
+    report = report_of(spec)
+    table = {e.character: e.dimension for e in report.entries}
     assert len(table) == G.order
     assert table[(0, 0, 0, 0, 0, 0)] == 6
     assert (1, 0, 0, 0, 0, 0) not in table
-    for chi1, chi2 in (e.factors for e in report.entries):
+    for chi1, chi2 in (factors(G, e) for e in report.entries):
         assert all((chi1.pairing(g) + chi2.pairing(psi(g))) % 2 == 0 for g in G.elements())
 
 
@@ -187,25 +201,23 @@ def test_unramified_spec_rejected():
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
     empty = BranchDataP1(G, {}, line_bundles=[0, 0, 0])
     with pytest.raises(InvalidCoverData, match="mismatch"):
-        bicanonical_report(ProductQuotientSpec(G, psi, empty, empty))
+        bicanonical_report(psi, empty, empty)
 
 
 def test_non_free_spec_rejected():
     spec = z23_spec()
-    bad = ProductQuotientSpec(spec.group, identity(spec.group),
-                              spec.branch1, spec.branch2)
     with pytest.raises(InvalidCoverData, match="not free"):
-        bicanonical_report(bad)
+        bicanonical_report(identity(spec.group), spec.branch1, spec.branch2)
 
 
 def test_split_factors_recorded():
     # chi2 runs over the characters of G once, and chi1 = -(chi2 o psi)
     spec = z23_spec()
     G, psi = spec.group, spec.psi
-    report = bicanonical_report(spec)
-    assert sorted(e.factors[1].coords for e in report.entries) == [
+    report = report_of(spec)
+    assert sorted(chi2.coords for _, chi2 in (factors(G, e) for e in report.entries)) == [
         chi.coords for chi in G.characters()]
-    for chi1, chi2 in (e.factors for e in report.entries):
+    for chi1, chi2 in (factors(G, e) for e in report.entries):
         for g in G.elements():
             assert chi1.pairing(g) == -chi2.pairing(psi(g)) % G.exponent
 
@@ -218,4 +230,16 @@ def test_invalid_curve_is_named_by_its_number():
                                     g3: ("Q4", "Q5")}, line_bundles=[1, 2, 1])
     with pytest.raises(InvalidCoverData,
                        match=r"^curve 2 building data invalid, failed relation: 2L2 "):
-        bicanonical_report(spec)
+        report_of(spec)
+
+
+def test_curves_over_another_group_rejected():
+    spec = z23_spec()
+    G4 = make_group([2, 2, 2, 2])
+    other = BranchDataP1(G4, {g: 1 for g in G4.generators()}, line_bundles=[1, 1, 1, 1])
+    with pytest.raises(InvalidCoverData,
+                       match=r"^curve 2 is a cover for the group \(2, 2, 2, 2\), "
+                             r"not for \(2, 2, 2\)$"):
+        bicanonical_report(spec.psi, spec.branch1, other)
+    with pytest.raises(InvalidCoverData, match="^curve 1 is a cover for the group"):
+        bicanonical_report(spec.psi, other, spec.branch2)

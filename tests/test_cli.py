@@ -604,11 +604,28 @@ def _points_on_a_parabola(n):
                                          "gram": [[-1]] * 21}]}, "$.operations[0].gram"),
     ({"kind": "lattice", "operations": [{"op": "negative-definite",
                                          "gram": [[-1] * 21]}]}, "$.operations[0].gram[0]"),
-], ids=["blowup-points", "linsys-points", "gram-rows", "gram-columns"])
+    # every integer is capped at 2^31, so no exact computation meets
+    # thousand-digit entries, nor an int too long to print
+    ({"kind": "lattice", "operations": [{"op": "negative-definite",
+                                         "gram": [[-10 ** 999] * 20] * 20}]},
+     "$.operations[0].gram[0][0]"),
+    ({"kind": "lattice", "operations": [{"op": "pullback", "degree": 10 ** 3999,
+                                         "a": {"l": 10 ** 3999}, "b": {"l": 10 ** 3999}}]},
+     "$.operations[0].a.l"),
+    ({"kind": "double-cover", "cases": [{"label": "x", "chi_base": 1, "pg_base": 0,
+                                         "K2_base": 10 ** 4300 - 1, "M_sq": 0, "M_K": 0,
+                                         "h0_K_plus_M": 0}]}, "$.cases[0].K2_base"),
+    ({"kind": "linsys", "points": [[1, 0, 0], [2 ** 40, 0, 0], [1, 2, 3]],
+      "systems": [{"degree": 1, "multiplicities": {}}]}, "$.points[1][0]"),
+], ids=["blowup-points", "linsys-points", "gram-rows", "gram-columns", "gram-entry",
+        "pullback-integers", "double-cover-K2", "linsys-coordinate"])
 def test_schema_caps_name_their_path(tmp_path, capsys, payload, path):
+    start = time.perf_counter()
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out.startswith(f"error: {path}: ")
+    assert out == f"error: {_oracle_error(payload)}\n"
 
 
 def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
@@ -623,6 +640,27 @@ def test_sizes_at_the_caps_are_accepted(tmp_path, capsys):
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert code == 0
     assert out.endswith("= 88\n")
+    cap = cli.MAX_INTEGER
+    assert cap == 2 ** 31
+    payload = {"kind": "lattice", "operations": [
+        {"op": "intersect", "a": {"l": cap}, "b": {"l": -cap}},
+        {"op": "divisible", "a": {"l": cap}, "k": cap},
+        {"op": "negative-definite", "gram": [[-cap, 0], [0, -cap]]}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out.splitlines()[1:]) == (0, [
+        f"({cap}l) . ({-cap}l) = {-cap * cap}",
+        f"({cap}l) divisible by {cap}: true",
+        "negative definite: true"])
+
+
+def test_json_integer_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "lattice", "operations": [{"op": "canonical"}], '
+                    '"blowup_points": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out.startswith("error: ")
+    assert "Traceback" not in out
 
 
 @pytest.mark.parametrize("system, message", [

@@ -4,9 +4,9 @@ from bicanonical import fermat
 from bicanonical.beauville import is_free
 from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVector,
                                 builtin_ratio_identities, combination_vector,
-                                fermat_fixed_elements, fermat_psi, fermat_report,
-                                field_lattice_contains, invariant_monomials,
-                                monomial_ratio, product_action_weight, ratio_lattice,
+                                factor_weight, fermat_fixed_elements, fermat_psi,
+                                fermat_report, field_lattice_contains, invariant_monomials,
+                                monomial_ratio, ratio_lattice,
                                 residual_character, residual_kernel,
                                 verify_ratio_identity, verify_weight_derivation,
                                 weight_coefficients, x1_5_over_z1_5, x5_over_z5)
@@ -111,7 +111,7 @@ def test_riemann_roch_count():
 
 
 def test_ratio_identities():
-    identities = builtin_ratio_identities()
+    identities = builtin_ratio_identities(invariant_monomials())
     assert [name for name, _, _ in identities] == ["x^5/z^5", "x1^5/z1^5"]
     for _, target, combo in identities:
         assert verify_ratio_identity(target, combo)
@@ -140,7 +140,7 @@ def test_combination_vector_matches_manual_expansion():
 
 
 def test_field_lattice_membership():
-    gens = ratio_lattice()
+    gens = ratio_lattice(invariant_monomials())
     assert len(gens) == 8
     assert field_lattice_contains(x5_over_z5(), gens)
     assert field_lattice_contains(x1_5_over_z1_5(), gens)
@@ -162,12 +162,12 @@ def test_residual_characters_are_additive():
     for m in invariant_monomials():
         lam = residual_character(m)
         for g in FERMAT_GROUP.elements():
-            direct = product_action_weight((0, 0), g.coords, m.i, m.j, m.alpha, m.beta)
+            direct = factor_weight(g.coords, m.alpha, m.beta)
             assert lam.pairing(g) == direct
 
 
 def test_residual_kernel():
-    assert residual_kernel().order == 1
+    assert residual_kernel(invariant_monomials()).order == 1
     single = invariant_monomials()[:1]
     assert residual_kernel(single).order == 25
     ms = invariant_monomials()

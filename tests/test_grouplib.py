@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical.grouplib import (Automorphism, GroupError, Subgroup, common_kernel,
-                                  element_name, make_group, orthogonal_complement)
+from bicanonical.grouplib import (Automorphism, Character, GroupElement, GroupError,
+                                  Subgroup, common_kernel, element_name, make_group,
+                                  orthogonal_complement)
 from oracles import inverse
 
 
@@ -43,6 +44,22 @@ def test_coordinate_vectors_of_the_wrong_length_are_rejected(coords):
         G.element(coords)
     with pytest.raises(GroupError, match="coordinate length"):
         G.character(coords)
+
+
+def test_elements_and_characters_are_built_through_the_group():
+    G = make_group([2, 4])
+    assert G.element([3, -1]).coords == (1, 3)
+    assert G.character([3, -1]).coords == (1, 3)
+    assert G.zero().coords == (0, 0)
+    # the dataclass constructor is gone, so no unreduced value can be made
+    for kind in (GroupElement, Character):
+        with pytest.raises(TypeError):
+            kind(G, (1, 3))
+        with pytest.raises(TypeError):
+            kind(G, (5, 7))
+    assert G.element([1, 3]) == G.element([1, 3])
+    assert hash(G.element([1, 3])) == hash(G.element([1, -1]))
+    assert G.element([1, 3]) != G.character([1, 3])
 
 
 def test_mixing_groups_is_an_error():

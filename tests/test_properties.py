@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicanonical.beauville import (ProductQuotientSpec, bicanonical_report,
-                                   fixed_point_elements, is_free)
+from bicanonical.beauville import bicanonical_report, fixed_point_elements, is_free
 from bicanonical.covers import (BranchDataP1, InvalidCoverData, eigensheaf_degrees,
-                                genus_from_eigensheaves, rh_genus, validate_building_data)
+                                genus_from_degrees, rh_genus, validate_building_data)
 from bicanonical.grouplib import Automorphism, GroupError, make_group
 from bicanonical.linsys import FatPointSystem, h0_fat_points, quadrilateral_config
 from oracles import apply_projectivity, dual_basis_degrees, inverse, rh_genus_numeric
@@ -54,10 +53,11 @@ def test_genus_formulas_agree(data):
     assert sum(data.degrees.values()) <= 8
     assert validate_building_data(data).ok
     table = eigensheaf_degrees(data)
-    assert rh_genus(data) == genus_from_eigensheaves(table)
+    assert list(table) == list(data.group.coordinate_vectors())
+    assert rh_genus(data) == genus_from_degrees(table.values())
     # parity of every charged degree is what makes the table integral
-    for chi, degree in table.degrees:
-        assert 2 * degree == data.charged_degree(chi)
+    for chi, degree in table.items():
+        assert 2 * degree == data.charged_degree(data.group.character(chi))
 
 
 @given(branch_data())
@@ -186,7 +186,7 @@ def test_fuzzed_product_quotients_sum_to_nine():
             continue
         if not is_free(psi, fixed_point_elements(b1), fixed_point_elements(b2))[0]:
             continue
-        report = bicanonical_report(ProductQuotientSpec(group, psi, b1, b2))
+        report = bicanonical_report(psi, b1, b2)
         assert report.p2 == 9 == report.invariants.K2 + report.invariants.chi
         genera_seen.add(report.genera)
         found += 1
