@@ -2,14 +2,15 @@
 """Replay every entry of the benchmark pools and compare it with the
 recorded reference outcome.
 
-    python3 scripts/check_reference_digests.py [--workload NAME ...]
+    python3 scripts/check_reference_digests.py
 
 Each pool is built by perfbench's own `workloads.build_pool`, and every
 entry runs in-process through `bicanonical.cli.run_scenario`
-(`worker.run_op`), imported from `src/` of the checkout the script is in.  Its exit code and result digest (`worker.outcome`) must
-equal the one in `perfbench/reference/<workload>.json`
-(`run.load_reference`), through the benchmark's own `run.Checker`, so a raw
-traceback fails whatever the reference says.
+(`worker.run_op`), imported from `src/` of the checkout the script is in.
+Its exit code and result digest (`worker.outcome`) must equal the one in
+`perfbench/reference/<workload>.json` (`run.load_reference`), through the
+benchmark's own `run.Checker`, so a raw traceback fails whatever the
+reference says.
 
 Prints one line per workload and one per mismatch, and exits 1 on any
 mismatch.
@@ -17,7 +18,6 @@ mismatch.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -43,14 +43,10 @@ def check_workload(cli, workload: str) -> tuple[int, list[str]]:
     return len(pool), [f"{workload}: {line}" for line in checker.failures]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
-                        help="check only this workload (repeatable); default: all")
-    args = parser.parse_args(argv)
+def main() -> int:
     cli = load_cli(str(SRC))
     failures = []
-    for workload in args.workload or workloads.WORKLOADS:
+    for workload in workloads.WORKLOADS:
         start = time.perf_counter()
         size, found = check_workload(cli, workload)
         print(f"{workload}: {size} entries, {len(found)} mismatches, "

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .grouplib import (AbelianGroup, Character, GroupElement, GroupError, Subgroup,
-                       common_kernel)
+from .grouplib import AbelianGroup, GroupElement, Subgroup, common_kernel
 from .piclattice import DivisorClass, Lattice, canonical_class
 
 
@@ -170,16 +169,10 @@ class BranchDataP1:
     def total_degree(self) -> int:
         return sum(self.degrees.values())
 
-    def charged_degree(self, chi: Character) -> int:
-        """Total branch degree on elements outside ker(chi)."""
-        group = self.group
-        if self._weighted and chi.group is not group and chi.group != group:
-            raise GroupError("character paired with an element of another group")
-        return self._charged(chi.coords)
-
-    def _charged(self, chi: tuple[int, ...]) -> int:
-        """The charged degree of the character with coordinates chi: chi(g)
-        is the dot product of chi with g's weighted coordinates."""
+    def charged_degree(self, chi: tuple[int, ...]) -> int:
+        """Total branch degree on elements outside ker(chi), for the character
+        of this group with coordinates chi: chi(g) is the dot product of chi
+        with g's weighted coordinates."""
         ex = self.group.exponent
         return sum(d for row, d in self._weighted if sum(map(mul, chi, row)) % ex)
 
@@ -203,7 +196,7 @@ class BranchDataP1:
         else:
             rank = self.group.rank
             for i in range(rank):
-                charged = self._charged(tuple(int(j == i) for j in range(rank)))
+                charged = self.charged_degree(tuple(int(j == i) for j in range(rank)))
                 checks.append(ValidationCheck(
                     f"2L{i + 1} matches the charged branch degree",
                     2 * self.line_bundles[i] == charged,
@@ -250,7 +243,7 @@ def eigensheaf_degrees(data: BranchDataP1) -> dict[tuple[int, ...], int]:
             "eigensheaf degrees are implemented only for groups of exponent 2")
     table = {}
     for chi in data.group.coordinate_vectors():
-        s = data._charged(chi)
+        s = data.charged_degree(chi)
         if s % 2 != 0:
             raise InvalidCoverData(f"charged branch degree {s} for character {chi} is odd")
         table[chi] = s // 2

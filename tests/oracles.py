@@ -68,7 +68,7 @@ def dual_basis_degrees(group, data) -> tuple[int, ...]:
     out = []
     for i in range(group.rank):
         chi = group.character([1 if j == i else 0 for j in range(group.rank)])
-        s = data.charged_degree(chi)
+        s = data.charged_degree(chi.coords)
         if s % 2 != 0:
             raise InvalidCoverData(
                 f"charged branch degree {s} for character {chi.coords} is odd")

@@ -235,7 +235,7 @@ def test_criterion_7_property_suites():
                     degs[g] = degs.get(g, 0) + 1
                 candidate = BranchDataP1(group, degs)
                 if all(candidate.charged_degree(chi) % 2 == 0
-                       for chi in group.characters()):
+                       for chi in group.coordinate_vectors()):
                     return BranchDataP1(group, degs,
                                         line_bundles=dual_basis_degrees(group, candidate))
             return None

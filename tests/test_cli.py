@@ -622,7 +622,8 @@ def _points_on_a_parabola(n):
 def test_schema_caps_name_their_path(tmp_path, capsys, payload, path):
     start = time.perf_counter()
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
-    assert time.perf_counter() - start < 1
+    # generous: before the integer cap the gram-entry case took 13 s or more
+    assert time.perf_counter() - start < 10
     assert code == 1
     assert out.startswith(f"error: {path}: ")
     assert out == f"error: {_oracle_error(payload)}\n"

@@ -156,7 +156,7 @@ def test_parity_of_charged_degrees():
     G, c1, c2 = z23_curves()
     for data in (c1, c2):
         for chi in G.characters():
-            assert data.charged_degree(chi) % 2 == 0
+            assert data.charged_degree(chi.coords) % 2 == 0
 
 
 # --------------------------------------------------------- the surface cover
