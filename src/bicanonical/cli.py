@@ -7,10 +7,15 @@ builds only the JSON report; the text report is rendered from it, so the two
 views cannot disagree.
 
 Each scenario is checked against its schema in SCHEMAS before anything runs.
-Validation is in-house (compile_schema, standard library only), with
-jsonschema-compatible messages: the error reported is the one jsonschema
-4.26 would report first by path, in its words and "$." path format.  Only
-the keywords SCHEMAS uses are supported; any other raises at import.
+Validation is in-house (compile_schema, standard library only).  Every schema
+node has two faces: a boolean valid(value), which builds no path or error and
+stops at the first failure, and a walker that collects errors.  A valid
+payload passes on the boolean face alone; the walker runs only on an invalid
+one, to name its first error in jsonschema-compatible words: the error
+jsonschema 4.26 would report first by path, in its words and "$." path
+format.  A value repr cannot show (an integer past the interpreter's digit
+limit, a list nested too deeply) reads as a short placeholder.  Only the
+keywords SCHEMAS uses are supported; any other raises at import.
 
 Exit codes are chosen in run_scenario alone.  0: success.  1: bad input,
 either a ScenarioError for what the command line checks itself (file, JSON,
@@ -32,7 +37,7 @@ import json
 import re
 import sys
 from importlib import resources
-from math import prod
+from math import log10, prod
 from pathlib import Path
 
 from . import beauville, covers, fermat, linsys, piclattice, proofcheck
@@ -76,57 +81,118 @@ def _equal(value, constant) -> bool:
     return isinstance(value, bool) == isinstance(constant, bool) and value == constant
 
 
-def _is_valid(check, value) -> bool:
-    errors = []
-    check(value, (), errors)
-    return not errors
+def _shown(value) -> str:
+    """repr(value) for a schema message, or a short placeholder where repr
+    raises: on an int past the interpreter's digit limit, or on a list or
+    dict nested past the recursion limit."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"<{type(value).__name__} nested too deeply to show>"
+    except ValueError:
+        if isinstance(value, int):
+            return f"<integer of {_digits(value)} digits>"
+        return f"<{type(value).__name__} holding an integer too long to show>"
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n, without converting it to a string."""
+    n = abs(n)
+    digits = int(log10(n)) + 1  # a float estimate, corrected next to a power of 10
+    if n >= 10 ** digits:
+        return digits + 1
+    return digits - 1 if n < 10 ** (digits - 1) else digits
+
+
+# Each keyword's factory returns its two faces.  check(value, path, errors)
+# appends a (path, message) pair per violation.  valid(value) is true exactly
+# when check appends nothing; it builds no path and returns at the first
+# failure.  A keyword meant for another type of value passes on both faces.
+
+def _leaf(valid, message):
+    """The two faces of a keyword with one test: message(value) words a
+    failure of valid(value)."""
+    def check(value, path, errors):
+        if not valid(value):
+            errors.append((path, message(value)))
+    return check, valid
+
+
+def _all(faces):
+    """The two faces of a list of faces that must all hold, in order."""
+    if len(faces) == 1:
+        return faces[0]
+    checks = [check for check, _ in faces]
+    valids = [valid for _, valid in faces]
+
+    def check(value, path, errors):
+        for keyword_check in checks:
+            keyword_check(value, path, errors)
+
+    def valid(value):
+        for keyword_valid in valids:
+            if not keyword_valid(value):
+                return False
+        return True
+    return check, valid
 
 
 def _type(name, schema):
-    is_type = _TYPES[name]
-
-    def check(value, path, errors):
-        if not is_type(value):
-            errors.append((path, f"{value!r} is not of type {name!r}"))
-    return check
+    return _leaf(_TYPES[name], lambda value: f"{_shown(value)} is not of type {name!r}")
 
 
 def _const(const, schema):
-    def check(value, path, errors):
-        if not _equal(value, const):
-            errors.append((path, f"{const!r} was expected"))
-    return check
+    return _leaf(lambda value: _equal(value, const), lambda value: f"{const!r} was expected")
 
 
 def _enum(options, schema):
-    def check(value, path, errors):
-        if not any(_equal(value, option) for option in options):
-            errors.append((path, f"{value!r} is not one of {options!r}"))
-    return check
+    def valid(value):
+        for option in options:
+            if _equal(value, option):
+                return True
+        return False
+    return _leaf(valid, lambda value: f"{_shown(value)} is not one of {options!r}")
 
 
 def _bound(limit, above, wording):
-    def check(value, path, errors):  # type(True) is bool, so no bool is bounded
-        if type(value) in (int, float) and (value > limit if above else value < limit):
-            errors.append((path, f"{value!r} {wording} {limit!r}"))
-    return check
+    def valid(value):  # type(True) is bool, so no bool is bounded
+        return type(value) not in (int, float) or not (value > limit if above else value < limit)
+    return _leaf(valid, lambda value: f"{_shown(value)} {wording} {limit!r}")
 
 
 def _length(limit, above, wording):
-    def check(value, path, errors):
-        if isinstance(value, list) and (len(value) > limit if above else len(value) < limit):
-            errors.append((path, f"{value!r} {wording}"))
-    return check
+    def valid(value):
+        return not isinstance(value, list) or not (
+            len(value) > limit if above else len(value) < limit)
+    return _leaf(valid, lambda value: f"{_shown(value)} {wording}")
 
 
 def _items(item_schema, schema):
-    item = compile_schema(item_schema)
+    item_check, item_valid = compile_schema(item_schema)
 
     def check(value, path, errors):
         if isinstance(value, list):
             for index, entry in enumerate(value):
-                item(entry, path + (index,), errors)
-    return check
+                item_check(entry, path + (index,), errors)
+
+    bounds = _integer_bounds(item_schema)
+    if bounds:  # item_valid inlined, as most integers of a payload are array items
+        low, high = bounds
+
+        def valid(value):
+            if isinstance(value, list):
+                for entry in value:
+                    if type(entry) is not int or not low <= entry <= high:
+                        return False
+            return True
+    else:
+        def valid(value):
+            if isinstance(value, list):
+                for entry in value:
+                    if not item_valid(entry):
+                        return False
+            return True
+    return check, valid
 
 
 def _required(names, schema):
@@ -134,7 +200,14 @@ def _required(names, schema):
         if isinstance(value, dict):
             errors.extend((path, f"{name!r} is a required property")
                           for name in names if name not in value)
-    return check
+
+    def valid(value):
+        if isinstance(value, dict):
+            for name in names:
+                if name not in value:
+                    return False
+        return True
+    return check, valid
 
 
 def _dependent_required(needs, schema):
@@ -143,71 +216,106 @@ def _dependent_required(needs, schema):
             errors.extend((path, f"{need!r} is a dependency of {name!r}")
                           for name, wanted in needs.items() if name in value
                           for need in wanted if need not in value)
-    return check
+
+    def valid(value):
+        if isinstance(value, dict):
+            for name, wanted in needs.items():
+                if name in value:
+                    for need in wanted:
+                        if need not in value:
+                            return False
+        return True
+    return check, valid
 
 
 def _properties(properties, schema):
-    fields = [(name, compile_schema(sub)) for name, sub in properties.items()]
+    fields = [(name, *compile_schema(sub)) for name, sub in properties.items()]
 
     def check(value, path, errors):
         if isinstance(value, dict):
-            for name, field in fields:
+            for name, field_check, _ in fields:
                 if name in value:
-                    field(value[name], path + (name,), errors)
-    return check
+                    field_check(value[name], path + (name,), errors)
+
+    def valid(value):
+        if isinstance(value, dict):
+            for name, _, field_valid in fields:
+                if name in value and not field_valid(value[name]):
+                    return False
+        return True
+    return check, valid
 
 
 def _additional_properties(extra_schema, schema):
     known = schema.get("properties", {})
     if extra_schema is not False:
-        extra = compile_schema(extra_schema)
+        extra_check, extra_valid = compile_schema(extra_schema)
 
         def check(value, path, errors):
             if isinstance(value, dict):
                 for name, entry in value.items():
                     if name not in known:
-                        extra(entry, path + (name,), errors)
-        return check
+                        extra_check(entry, path + (name,), errors)
 
-    def check(value, path, errors):
+        def valid(value):
+            if isinstance(value, dict):
+                for name, entry in value.items():
+                    if name not in known and not extra_valid(entry):
+                        return False
+            return True
+        return check, valid
+
+    def valid(value):
         if isinstance(value, dict):
-            extras = sorted((name for name in value if name not in known), key=str)
-            if extras:
-                errors.append((path, "Additional properties are not allowed ("
-                               + ", ".join(map(repr, extras))
-                               + (" was" if len(extras) == 1 else " were") + " unexpected)"))
-    return check
+            for name in value:
+                if name not in known:
+                    return False
+        return True
+
+    def message(value):
+        extras = sorted((name for name in value if name not in known), key=str)
+        return ("Additional properties are not allowed (" + ", ".join(map(_shown, extras))
+                + (" was" if len(extras) == 1 else " were") + " unexpected)")
+    return _leaf(valid, message)
 
 
 def _one_of(options, schema):
-    subs = [(option, compile_schema(option)) for option in options]
+    subs = [(option, compile_schema(option)[1]) for option in options]
 
     def check(value, path, errors):
-        valid = [option for option, sub in subs if _is_valid(sub, value)]
-        if not valid:
-            errors.append((path, f"{value!r} is not valid under any of the given schemas"))
-        elif len(valid) > 1:  # the later matches are named first, then the first one
-            errors.append((path, f"{value!r} is valid under each of "
-                           + ", ".join(map(repr, valid[1:] + valid[:1]))))
-    return check
+        matches = [option for option, sub in subs if sub(value)]
+        if not matches:
+            errors.append((path, f"{_shown(value)} is not valid under any of the given schemas"))
+        elif len(matches) > 1:  # the later matches are named first, then the first one
+            errors.append((path, f"{_shown(value)} is valid under each of "
+                           + ", ".join(map(repr, matches[1:] + matches[:1]))))
+
+    def valid(value):
+        found = False
+        for _, sub in subs:
+            if sub(value):
+                if found:
+                    return False
+                found = True
+        return found
+    return check, valid
 
 
 def _all_of(options, schema):
-    subs = [compile_schema(option) for option in options]
-
-    def check(value, path, errors):
-        for sub in subs:
-            sub(value, path, errors)
-    return check
+    return _all([compile_schema(option) for option in options])
 
 
 def _if(condition, schema):
-    test, then = compile_schema(condition), compile_schema(schema.get("then", {}))
+    _, test = compile_schema(condition)
+    then_check, then_valid = compile_schema(schema.get("then", {}))
 
     def check(value, path, errors):
-        if _is_valid(test, value):
-            then(value, path, errors)
-    return check
+        if test(value):
+            then_check(value, path, errors)
+
+    def valid(value):
+        return not test(value) or then_valid(value)
+    return check, valid
 
 
 _KEYWORDS = {
@@ -223,18 +331,28 @@ _KEYWORDS = {
 
 
 def compile_schema(schema):
-    """The check(value, path, errors) of a schema, which appends a (path,
-    message) pair per violation, visiting keywords in the schema's order.
-    Raises ValueError on a keyword outside _KEYWORDS."""
+    """The two faces of a schema, (check, valid), as the keyword factories
+    above define them; check visits keywords in the schema's order.  Raises
+    ValueError on a keyword outside _KEYWORDS."""
     unknown = sorted(set(schema) - set(_KEYWORDS))
     if unknown:
         raise ValueError(f"unsupported schema keywords {unknown}")
-    checks = [_KEYWORDS[k](v, schema) for k, v in schema.items() if _KEYWORDS[k]]
+    check, valid = _all([_KEYWORDS[k](v, schema) for k, v in schema.items() if _KEYWORDS[k]])
+    bounds = _integer_bounds(schema)
+    if bounds:  # the valid faces of type, minimum and maximum as one test
+        low, high = bounds
 
-    def check(value, path, errors):
-        for keyword_check in checks:
-            keyword_check(value, path, errors)
-    return check
+        def valid(value):
+            return type(value) is int and low <= value <= high
+    return check, valid
+
+
+def _integer_bounds(schema):
+    """The (minimum, maximum) of a schema that is exactly a bounded JSON
+    integer, or None."""
+    if schema.keys() == {"type", "minimum", "maximum"} and schema["type"] == "integer":
+        return schema["minimum"], schema["maximum"]
+    return None
 
 
 def _closed(properties, required=(), **extra):
@@ -329,16 +447,22 @@ SCHEMAS = {
                   ["kind", *required])
     for kind, (required, fields) in _KIND_FIELDS.items()
 }
-_CHECKS = {kind: compile_schema(schema) for kind, schema in SCHEMAS.items()}
+_CHECKS, _VALID = {}, {}  # kind -> the error-collecting walker, and its boolean face
+for _kind, _schema in SCHEMAS.items():
+    _CHECKS[_kind], _VALID[_kind] = compile_schema(_schema)
 
 
 def validate_payload(payload) -> str:
+    """The kind of a payload its schema accepts, told by the boolean face;
+    the walker runs only to name the first error of a rejected one."""
     if not isinstance(payload, dict):
         raise ScenarioError("scenario must be a JSON object")
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in SCHEMAS:
         raise ScenarioError(
-            f"$.kind: unknown scenario kind {kind!r}; expected one of {sorted(SCHEMAS)}")
+            f"$.kind: unknown scenario kind {_shown(kind)}; expected one of {sorted(SCHEMAS)}")
+    if _VALID[kind](payload):
+        return kind
     errors = []
     _CHECKS[kind](payload, (), errors)
     if errors:  # the least path wins, then the first visited among equals

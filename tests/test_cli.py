@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicanonical import cli, fermat, linsys, proofcheck
@@ -784,16 +786,29 @@ def mutated_payloads(draw, atoms=_ATOMS, new_keys=()):
     return payload
 
 
+def _with_contract_payloads(test):
+    """test, given every payload of _CONTRACT_PAYLOADS as an explicit example."""
+    for payload in _CONTRACT_PAYLOADS:
+        test = example(copy.deepcopy(payload))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=timedelta(seconds=5))
 @given(mutated_payloads())
+@_with_contract_payloads
 def test_every_mutated_payload_reports_or_exits_1_or_2(payload):
-    try:
-        result, lines = cli.run_scenario(payload)
-    except cli.ScenarioError as exc:
-        assert exc.exit_code in (1, 2)
-    else:
-        assert lines[0].startswith("scenario")
-        json.dumps(result)
+    # the benchmark worker streams one JSON record per operation on stdout,
+    # so the library itself must print nothing
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result, lines = cli.run_scenario(payload)
+        except cli.ScenarioError as exc:
+            assert exc.exit_code in (1, 2)
+        else:
+            assert lines[0].startswith("scenario")
+            json.dumps(result)
+    assert (out.getvalue(), err.getvalue()) == ("", "")
 
 
 def test_cli_imports_no_jsonschema():
@@ -879,6 +894,50 @@ def test_schema_messages_match_jsonschema(payload, message):
     assert _oracle_error(payload) == message
 
 
+def _nested(depth, wrap):
+    value = 0
+    for _ in range(depth):
+        value = wrap(value)
+    return value
+
+
+def _huge():
+    return 10 ** 5000
+
+
+def _deep_list():
+    return _nested(100_000, lambda value: [value])
+
+
+def _deep_dict():
+    return _nested(50_000, lambda value: {"a": value})
+
+
+@pytest.mark.parametrize("name, path, make, message", [
+    (_LATTICE, ("blowup_points",), _huge,
+     "$.blowup_points: <integer of 5001 digits> is greater than the maximum of 100"),
+    ("beauville8", ("group", 0), _huge,
+     "$.group[0]: <integer of 5001 digits> is greater than the maximum of 2147483648"),
+    ("proofcheck-all", ("checks", 0), _huge,
+     "$.checks[0]: <integer of 5001 digits> is not one of ['case-table', 'reider', 'lemma32']"),
+    ("fermat-z52", ("name",), _huge, "$.name: <integer of 5001 digits> is not of type 'string'"),
+    (_LATTICE, ("blowup_points",), _deep_list,
+     "$.blowup_points: <list nested too deeply to show> is not of type 'integer'"),
+    ("fermat-z52", ("name",), _deep_list,
+     "$.name: <list nested too deeply to show> is not of type 'string'"),
+    ("fermat-z52", ("description",), _deep_dict,
+     "$.description: <dict nested too deeply to show> is not of type 'string'"),
+    ("fermat-z52", ("kind",), _huge, "$.kind: unknown scenario kind <integer of 5001 digits>; "
+     f"expected one of {sorted(cli.SCHEMAS)}"),
+], ids=["huge-blowup-points", "huge-group-order", "huge-check", "huge-name",
+        "deep-list-blowup-points", "deep-list-name", "deep-dict-description", "huge-kind"])
+def test_value_repr_cannot_show_is_an_input_error_at_its_path(name, path, make, message):
+    payload = _edited(name, lambda p: _at(p, path[:-1]).__setitem__(path[-1], make()))
+    with pytest.raises(cli.ScenarioError) as caught:
+        cli.run_scenario(payload)
+    assert (caught.value.exit_code, str(caught.value)) == (1, message)
+
+
 _ORACLE_ATOMS = _ATOMS + (False, 1, 6, 6.0, 1.5, 101, "reider", "canonical", "quadrilateral",
                           "fermat", "linsys", {"l": 1}, ["S1"])
 _NEW_KEYS = ("zz", "a b", "it's", "class", "degree", "multiplicities", "op", "k", "e1")
@@ -893,6 +952,24 @@ def test_mutated_payload_errors_match_jsonschema(payload):
         assert message == _oracle_error(payload)
     else:
         assert message.startswith("$.kind: unknown scenario kind")
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=1))
+@given(st.one_of(mutated_payloads(), mutated_payloads(_ORACLE_ATOMS, _NEW_KEYS),
+                 st.sampled_from(_CONTRACT_PAYLOADS)))
+def test_valid_face_holds_exactly_when_the_walker_finds_no_error(payload):
+    for kind in cli.SCHEMAS:
+        errors = []
+        cli._CHECKS[kind](payload, (), errors)
+        assert cli._VALID[kind](payload) is (not errors)
+
+
+def test_a_valid_payload_never_reaches_the_walker(monkeypatch):
+    def walker(*args):
+        raise AssertionError("the error-collecting walker ran on a valid payload")
+    monkeypatch.setitem(cli._CHECKS, "product-quotient", walker)
+    assert cli.validate_payload(builtin_payload("beauville8")) == "product-quotient"
+    assert cli.validate_payload(_fermat_pq_payload()) == "product-quotient"
 
 
 @pytest.mark.parametrize("coordinate", ["1e1000", "0.5", " 1/2"])
