@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Mutation gate: the Tier-1 tests must kill every listed mutant.
+
+    python3 scripts/mutants.py
+
+A mutant is a `(file, old, new)` edit of the library, where `old` occurs
+exactly once in `file`.  For each mutant, `src/`, `tests/` and
+`pyproject.toml` are copied to a temporary directory, the edit is made
+there, and Tier-1 runs on the copy with `-x`.  The mutant is killed when a
+test fails, and survives when Tier-1 passes.
+
+Prints one line per mutant.  Exits 1 if a mutant survives, and 2 if an `old`
+text does not occur exactly once or pytest cannot run.  A change that adds an
+identity or a second route adds the mutant it must catch here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # a singular Gram matrix counted as negative definite
+    ("src/bicanonical/piclattice.py",
+     "return all(m * (-1) ** (k + 1) > 0 for k, m in enumerate(minors))",
+     "return all(m * (-1) ** (k + 1) >= 0 for k, m in enumerate(minors))"),
+    # degree 2 for a kernel of any order >= 2, past what the degree bound gives
+    ("src/bicanonical/covers.py",
+     "    if kernel.order == 2:",
+     "    if kernel.order >= 2:"),
+    # the Fermat weight check without its separability pass
+    ("src/bicanonical/fermat.py",
+     "if (A - Ax0 - A0y + A00) % 5 or (B - Bx0 - B0y + B00) % 5:",
+     "if False:"),
+    # the Fermat weight check without its opposite-constant test
+    ("src/bicanonical/fermat.py",
+     "if len(left) != 1 or len(right) != 1 or (left.pop() + right.pop()) % 5:",
+     "if len(left) != 1 or len(right) != 1:"),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+def mutated_copy(target: Path, file: str, old: str, new: str) -> None:
+    """Copy the checkout's sources and tests into target, with one edit."""
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, target / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, target / name)
+    path = target / file
+    path.write_text(path.read_text().replace(old, new))
+
+
+def run_tier1(where: Path) -> int:
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run(TIER1, cwd=where, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    for file, old, new in MUTANTS:
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            print(f"{file}: {old!r} occurs {count} times, not once")
+            return 2
+    survivors = 0
+    for file, old, new in MUTANTS:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as scratch:
+            mutated_copy(Path(scratch), file, old, new)
+            code = run_tier1(Path(scratch))
+        took = f"{time.perf_counter() - start:.1f} s"
+        if code == 0:
+            survivors += 1
+            print(f"SURVIVED {file}: {new!r} ({took})")
+        elif code == 1:
+            print(f"killed {file}: {new!r} ({took})")
+        else:
+            print(f"{file}: pytest exited {code} on {new!r}")
+            return 2
+    print(f"{len(MUTANTS)} mutants, {survivors} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -72,8 +72,18 @@ _JSON_PATH_NAME = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 
 def _json_path(path) -> str:
     return "$" + "".join(
-        f"[{key}]" if isinstance(key, int) else f".{key}" if _JSON_PATH_NAME.match(key)
-        else "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']" for key in path)
+        (f".{key}" if _JSON_PATH_NAME.match(key)
+         else "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']")
+        if isinstance(key, str) else f"[{_shown(key)}]" for key in path)
+
+
+def _path_order(path) -> tuple:
+    """Sort key of an error path.  JSON list indices and object keys order
+    as themselves; any other key, which only a payload built in-process can
+    hold, orders after them by its shown form, so no two keys of different
+    types are ever compared."""
+    return tuple((0, key) if type(key) is int else (1, key) if type(key) is str
+                 else (2, _shown(key)) for key in path)
 
 
 def _equal(value, constant) -> bool:
@@ -273,7 +283,8 @@ def _additional_properties(extra_schema, schema):
         return True
 
     def message(value):
-        extras = sorted((name for name in value if name not in known), key=str)
+        extras = sorted((name for name in value if name not in known),
+                        key=lambda name: name if isinstance(name, str) else _shown(name))
         return ("Additional properties are not allowed (" + ", ".join(map(_shown, extras))
                 + (" was" if len(extras) == 1 else " were") + " unexpected)")
     return _leaf(valid, message)
@@ -466,7 +477,7 @@ def validate_payload(payload) -> str:
     errors = []
     _CHECKS[kind](payload, (), errors)
     if errors:  # the least path wins, then the first visited among equals
-        path, message = min(errors, key=lambda error: error[0])
+        path, message = min(errors, key=lambda error: _path_order(error[0]))
         raise ScenarioError(f"{_json_path(path)}: {message}")
     return kind
 

@@ -90,25 +90,42 @@ def factor_weight(u, i: int, j: int) -> int:
 
 
 def verify_weight_derivation() -> bool:
-    """Check, exhaustively over all residues mod 5, that the closed weight
-    formula agrees with the factorwise action of (g, psi(g)).
+    """Check that the closed weight formula agrees with the factorwise action
+    of (g, psi(g)) at every one of the 5^6 residue tuples (a, b, i, j, alpha,
+    beta) mod 5, without listing them.
 
-    All 5^6 tuples (a, b, i, j, alpha, beta) are compared directly.  The
-    closed coefficients (A, B) of the 625 exponent tuples are computed once;
-    for each of the 25 elements g the 625 direct weights are the sums of the
-    25-entry factor tables of g and psi(g), compared with the 625 closed
-    values a A + b B in one list comparison."""
+    Write x = (i, j) and y = (alpha, beta).  The direct weight of g = (a, b)
+    is the outer sum L(x) + R(y) of the factor tables L of g and R of psi(g);
+    the closed one is a A(x, y) + b B(x, y).  As G holds (1, 0) and (0, 1),
+    agreement forces A and B to be outer sums as well, that is separable mod
+    5: A(x, y) = A(x, 0) + A(0, y) - A(0, 0), and likewise B, at all 625
+    pairs (x, y).  Then the closed weight of g is the outer sum of
+    P(x) = a A(x, 0) + b B(x, 0) and Q(y) = a (A(0, y) - A(0, 0)) +
+    b (B(0, y) - B(0, 0)), and two outer sums agree at every entry exactly
+    when L - P and R - Q are constants whose sum is 0 mod 5.  So the 625
+    closed pairs are tested once for separability, and each g compares 25 + 25
+    values, with the verdict of the comparison at all 5^6 tuples."""
     psi = fermat_psi()
     residues = list(itertools.product(range(5), repeat=2))
-    coefficients = [weight_coefficients(i, j, alpha, beta)
-                    for i, j in residues for alpha, beta in residues]
+    table = [[weight_coefficients(i, j, alpha, beta) for alpha, beta in residues]
+             for i, j in residues]
+    first = table[0]  # x = (0, 0)
+    A00, B00 = first[0]
+    for row in table:
+        Ax0, Bx0 = row[0]
+        for (A, B), (A0y, B0y) in zip(row, first):
+            if (A - Ax0 - A0y + A00) % 5 or (B - Bx0 - B0y + B00) % 5:
+                return False
+    p_pairs = [row[0] for row in table]
+    q_pairs = [(A - A00, B - B00) for A, B in first]
     for g in FERMAT_GROUP.elements():
         u, v = g.coords, psi(g).coords
         a, b = u
-        left = [factor_weight(u, i, j) for i, j in residues]
-        right = [factor_weight(v, alpha, beta) for alpha, beta in residues]
-        direct = [(x + y) % 5 for x in left for y in right]
-        if direct != [(a * A + b * B) % 5 for A, B in coefficients]:
+        left = {(factor_weight(u, i, j) - a * A - b * B) % 5
+                for (i, j), (A, B) in zip(residues, p_pairs)}
+        right = {(factor_weight(v, alpha, beta) - a * A - b * B) % 5
+                 for (alpha, beta), (A, B) in zip(residues, q_pairs)}
+        if len(left) != 1 or len(right) != 1 or (left.pop() + right.pop()) % 5:
             return False
     return True
 

@@ -3,13 +3,15 @@
 Each function here recomputes or builds something the library does not
 need for its own outputs: Riemann-Hurwitz over Q (against covers.rh_genus),
 projectivities of a configuration (h^0 is invariant under them), the inverse
-of an automorphism, the 225 Fermat bimonomials, the dual-basis line bundle
-degrees of P^1 branch data, and the Inoue building data.  The library does
-not import this module.
+of an automorphism, the 225 Fermat bimonomials, the Fermat weight check at
+all 5^6 residue tuples (against fermat.verify_weight_derivation), the
+dual-basis line bundle degrees of P^1 branch data, and the Inoue building
+data.  The library does not import this module.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from bicanonical.covers import BranchDataSurface, InvalidCoverData
@@ -60,6 +62,25 @@ def all_bimonomials() -> list[BiMonomial]:
     return [BiMonomial(i, j, a, b)
             for i in range(5) for j in range(5 - i)
             for a in range(5) for b in range(5 - a)]
+
+
+def weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi) -> bool:
+    """The Fermat weight check by direct comparison at all 5^6 residue tuples
+    (a, b, i, j, alpha, beta): for each g = (a, b) of psi's group, the 625
+    sums factor_weight(g, i, j) + factor_weight(psi(g), alpha, beta) against
+    the 625 closed values a A + b B, all mod 5."""
+    residues = list(itertools.product(range(5), repeat=2))
+    coefficients = [weight_coefficients(i, j, alpha, beta)
+                    for i, j in residues for alpha, beta in residues]
+    for g in psi.group.elements():
+        u, v = g.coords, psi(g).coords
+        a, b = u
+        left = [factor_weight(u, i, j) for i, j in residues]
+        right = [factor_weight(v, alpha, beta) for alpha, beta in residues]
+        direct = [(x + y) % 5 for x in left for y in right]
+        if direct != [(a * A + b * B) % 5 for A, B in coefficients]:
+            return False
+    return True
 
 
 def dual_basis_degrees(group, data) -> tuple[int, ...]:

@@ -938,6 +938,21 @@ def test_value_repr_cannot_show_is_an_input_error_at_its_path(name, path, make, 
     assert (caught.value.exit_code, str(caught.value)) == (1, message)
 
 
+# keys that JSON text cannot spell, in payloads built in-process
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "fermat", 10 ** 5000: 1},
+     "$: Additional properties are not allowed (<integer of 5001 digits> was unexpected)"),
+    ({"kind": "linsys", "systems": [{"class": {(1, 2): "x"}}]},
+     "$.systems[0].class[(1, 2)]: 'x' is not of type 'integer'"),
+    ({"kind": "linsys", "systems": [{"class": {(1, 2): "x", "l": "y"}}]},
+     "$.systems[0].class.l: 'y' is not of type 'integer'"),
+], ids=["huge-key", "tuple-key", "tuple-and-string-keys"])
+def test_non_string_key_is_an_input_error_at_its_path(payload, message):
+    with pytest.raises(cli.ScenarioError) as caught:
+        cli.run_scenario(payload)
+    assert (caught.value.exit_code, str(caught.value)) == (1, message)
+
+
 _ORACLE_ATOMS = _ATOMS + (False, 1, 6, 6.0, 1.5, 101, "reider", "canonical", "quadrilateral",
                           "fermat", "linsys", {"l": 1}, ["S1"])
 _NEW_KEYS = ("zz", "a b", "it's", "class", "degree", "multiplicities", "op", "k", "e1")

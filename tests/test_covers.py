@@ -3,11 +3,11 @@ import pytest
 from bicanonical.covers import (BranchDataP1, BranchDataSurface, CoverInvariants,
                                 DoubleCoverInput, InternalInconsistency,
                                 InvalidCoverData, double_cover_invariants,
-                                eigensheaf_degrees, genus_from_degrees, projection_decomposition,
-                                rh_genus, validate_building_data,
+                                eigensheaf_degrees, genus_from_degrees, make_verdict,
+                                projection_decomposition, rh_genus, validate_building_data,
                                 z22_bicanonical_report, z22_element_name,
                                 z22_surface_cover_invariants)
-from bicanonical.grouplib import make_group
+from bicanonical.grouplib import Subgroup, make_group
 from bicanonical.linsys import h0_class, quadrilateral_config
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
 from oracles import dual_basis_degrees, inoue_building_data, rh_genus_numeric
@@ -17,6 +17,16 @@ from oracles import dual_basis_degrees, inoue_building_data, rh_genus_numeric
 def h0():
     cfg = quadrilateral_config()
     return lambda cls: h0_class(cfg, cls)
+
+
+def test_verdict_degree_is_known_only_up_to_an_involution():
+    group = make_group((2, 2))
+    elements = group.elements()
+    assert make_verdict(Subgroup(group)).degree == 1
+    assert make_verdict(Subgroup(group, elements[1:2])).degree == 2
+    whole = Subgroup(group, elements)
+    assert whole.order == 4
+    assert make_verdict(whole).degree is None
 
 
 # ------------------------------------------------------------- double covers

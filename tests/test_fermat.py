@@ -1,4 +1,9 @@
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicanonical import fermat
 from bicanonical.beauville import is_free
@@ -10,7 +15,7 @@ from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVec
                                 residual_character, residual_kernel,
                                 verify_ratio_identity, verify_weight_derivation,
                                 weight_coefficients, x1_5_over_z1_5, x5_over_z5)
-from oracles import all_bimonomials
+from oracles import all_bimonomials, weight_derivation_at_all_tuples
 
 
 def weight(a, b, m):
@@ -102,6 +107,72 @@ def test_drifted_factor_weight_fails_the_check(monkeypatch, drift):
     monkeypatch.setattr(fermat, "factor_weight", drift)
     assert not verify_weight_derivation()
 
+
+_RESIDUES = list(itertools.product(range(5), repeat=2))
+_FACTOR_TABLE = {(u, i, j): factor_weight(u, i, j) for u in _RESIDUES for i, j in _RESIDUES}
+_CLOSED_TABLE = {x + y: weight_coefficients(*x, *y) for x in _RESIDUES for y in _RESIDUES}
+_SHIFTS = st.one_of(st.integers(-3, 3).filter(bool).map(lambda k: 5 * k),
+                    st.builds(lambda k, r: 5 * k + r, st.integers(-3, 3), st.integers(1, 4)))
+
+
+def _shifted(pair, side, delta):
+    return tuple(c + delta if k == side else c for k, c in enumerate(pair))
+
+
+@st.composite
+def perturbed_tables(draw):
+    """The factor and closed weight tables with 1-3 entries of either one
+    shifted, or with one row x = (i, j) of the closed table shifted (still
+    separable); also whether every shift is a multiple of 5."""
+    factor, closed = dict(_FACTOR_TABLE), dict(_CLOSED_TABLE)
+    if draw(st.booleans()):
+        x, side, delta = draw(st.sampled_from(_RESIDUES)), draw(st.integers(0, 1)), draw(_SHIFTS)
+        for y in _RESIDUES:
+            closed[x + y] = _shifted(closed[x + y], side, delta)
+        return factor, closed, delta % 5 == 0
+    deltas = draw(st.lists(_SHIFTS, min_size=1, max_size=3))
+    for delta in deltas:
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(list(factor)))
+            factor[key] += delta
+        else:
+            key, side = draw(st.sampled_from(list(closed))), draw(st.integers(0, 1))
+            closed[key] = _shifted(closed[key], side, delta)
+    return factor, closed, all(delta % 5 == 0 for delta in deltas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_tables())
+def test_weight_check_matches_the_all_tuples_oracle(tables):
+    factor, closed, by_fives = tables
+
+    def factor_table(u, i, j):
+        return factor[u, i, j]
+
+    def closed_table(i, j, alpha, beta):
+        return closed[i, j, alpha, beta]
+
+    expected = weight_derivation_at_all_tuples(factor_table, closed_table, fermat_psi())
+    assert expected or not by_fives
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fermat, "factor_weight", factor_table)
+        patch.setattr(fermat, "weight_coefficients", closed_table)
+        assert verify_weight_derivation() is expected
+
+
+def test_weight_check_costs_under_half_the_oracle():
+    def best_of_5(check):  # seconds, best of five runs
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert check()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    psi = fermat_psi()
+    oracle = best_of_5(
+        lambda: weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi))
+    assert best_of_5(verify_weight_derivation) < oracle / 2
 
 
 def test_riemann_roch_count():

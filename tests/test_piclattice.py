@@ -66,6 +66,7 @@ def test_negative_definiteness():
     assert is_negative_definite(gram)
     assert not is_negative_definite([[1]])
     assert is_negative_definite([[-2]])
+    assert not is_negative_definite([[-1, 1], [1, -1]])  # minors -1, 0: singular
     with pytest.raises(ValueError):
         is_negative_definite([[0, 1], [2, 0]])
 
