@@ -43,6 +43,22 @@ MUTANTS = [
     ("src/bicanonical/fermat.py",
      "if len(left) != 1 or len(right) != 1 or (left.pop() + right.pop()) % 5:",
      "if len(left) != 1 or len(right) != 1:"),
+    # the graph freeness test skipped: no element ever has a fixed point
+    ("src/bicanonical/beauville.py",
+     "violations = [g for g in fix1 if image(g) in fix2]",
+     "violations = []"),
+    # the automorphism image set grown one step short per generator
+    ("src/bicanonical/grouplib.py",
+     "for _ in range(m - 1):",
+     "for _ in range(m - 2):"),
+    # the kernel taken from chi1, the first factor of a contributing pair
+    ("src/bicanonical/beauville.py",
+     "contributing.append(Character._of(group, entry.character[rank:]))",
+     "contributing.append(Character._of(group, entry.character[:rank]))"),
+    # h0(O(a, b)) on P^1 x P^1 with the edge a = 0 counted as empty
+    ("src/bicanonical/beauville.py",
+     "return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0",
+     "return (a + 1) * (b + 1) if a > 0 and b >= 0 else 0"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -9,45 +9,48 @@ of O(b1, b2) twisted down by the product eigensheaves.  Summing the pieces
 must give K^2 + chi = 9; the characters with a nonzero piece determine the
 subgroup of the residual group acting trivially on the bicanonical image.
 
-Everything is computed in G itself.  Gamma-perp is {(-(chi o psi), chi)}
-for the characters chi of G, and (G x G)/Gamma is G through
-(a, b) -> b - psi(a), under which (chi1, chi2) in Gamma-perp descends to
-chi2: its value on the representative (0, g).  The descent is checked
-directly on the graph generators (g, psi(g)), a second route to Gamma-perp.
+Everything is computed in G itself, on coordinate tuples.  Gamma-perp is
+{(-(chi o psi), chi)} for the characters chi of G, and (G x G)/Gamma is G
+through (a, b) -> b - psi(a), under which (chi1, chi2) in Gamma-perp
+descends to chi2: its value on the representative (0, g).  The pullback is
+linear, so Automorphism.pullback runs once per report, on the unit
+characters, and every chi o psi is a sum of those rows.  The descent is
+checked directly on the graph generators (g, psi(g)), a second route to
+Gamma-perp, as weighted dot products.  The fixed points of the two curves
+and the freeness test are sets of coordinate tuples, and character objects
+are built only for the contributing characters whose common kernel is the
+verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      InvalidCoverData, Verdict, eigensheaf_degrees, genus_from_degrees,
                      make_verdict, rh_genus, validate_building_data)
-from .grouplib import Automorphism, GroupElement, Subgroup, common_kernel
+from .grouplib import Automorphism, Character, Subgroup, common_kernel
 
 
-def fixed_point_elements(data: BranchDataP1) -> frozenset[GroupElement]:
-    """Elements of G with fixed points on the cover curve: every nonzero
-    element of an inertia subgroup <gamma> over a branch point."""
-    fixed: set[GroupElement] = set()
-    for gamma, deg in data.degrees.items():
-        if deg == 0:
-            continue
-        power = gamma
-        while not power.is_zero():
-            fixed.add(power)
-            power = power + gamma
-    return frozenset(fixed)
+def fixed_point_elements(data: BranchDataP1) -> frozenset[tuple[int, ...]]:
+    """Coordinates of the elements of G with fixed points on the cover
+    curve: every nonzero element of an inertia subgroup <gamma> over a branch
+    point, that is k * gamma for 0 < k < ord(gamma)."""
+    moduli = data.group.moduli
+    return frozenset(tuple(k * c % m for c, m in zip(coords, moduli))
+                     for coords, order, _ in data.inertia for k in range(1, order))
 
 
-def is_free(psi: Automorphism, fix1, fix2) -> tuple[bool, GroupElement | None]:
+def is_free(psi: Automorphism, fix1, fix2) -> tuple[bool, tuple[int, ...] | None]:
     """Does the graph of psi act freely?  (g, psi(g)) has a fixed point on the
     product iff g has one on the first curve and psi(g) has one on the second.
-    Returns (flag, witness); the witness is the smallest violating element."""
-    violations = sorted((g for g in fix1 if psi(g) in fix2 and not g.is_zero()),
-                        key=lambda g: g.coords)
+    fix1 and fix2 hold the coordinates of nonzero elements.  Returns (flag,
+    witness); the witness is the smallest violating coordinate tuple."""
+    image = psi._image
+    violations = [g for g in fix1 if image(g) in fix2]
     if violations:
-        return False, violations[0]
+        return False, min(violations)
     return True, None
 
 
@@ -66,10 +69,8 @@ def two_k_bidegree(branch1: BranchDataP1, branch2: BranchDataP1) -> tuple[int, i
     divisor, so b_i = (total branch degree of curve i) - 4.  Only covers with
     all inertia of order 2 are supported."""
     for data in (branch1, branch2):
-        for gamma in data.degrees:
-            if gamma.order() != 2:
-                raise InvalidCoverData(
-                    "bidegree formula requires all inertia groups of order 2")
+        if any(order != 2 for _, order, _ in data.inertia):
+            raise InvalidCoverData("bidegree formula requires all inertia groups of order 2")
     return branch1.total_degree() - 4, branch2.total_degree() - 4
 
 
@@ -111,8 +112,7 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
 
     free, witness = is_free(psi, fixed_point_elements(branch1), fixed_point_elements(branch2))
     if not free:
-        raise InvalidCoverData(
-            f"the graph action is not free: witness {witness.coords}")
+        raise InvalidCoverData(f"the graph action is not free: witness {witness}")
 
     bidegree = two_k_bidegree(branch1, branch2)
     table1, table2 = eigensheaf_degrees(branch1), eigensheaf_degrees(branch2)
@@ -122,29 +122,36 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
             raise InternalInconsistency("eigensheaf table disagrees with Riemann-Hurwitz")
 
     # Gamma-perp comes straight from psi: (-(chi2 o psi), chi2) for every
-    # character chi2 of G, in the order of the pair coordinates
+    # character chi2 of G, in the order of the pair coordinates; chi2 o psi
+    # is the sum of the pullbacks of the unit characters, weighted by chi2
     moduli, rank = group.moduli, group.rank
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    columns = list(zip(*map(psi.pullback, units)))
     entries = []
     for chi2 in group.coordinate_vectors():
-        chi1 = tuple((-c) % m for c, m in zip(psi.pullback(chi2), moduli))
+        chi1 = tuple(-sum(map(mul, chi2, column)) % m for column, m in zip(columns, moduli))
         d = (table1[chi1], table2[chi2])
         dim = _h0_p1xp1(bidegree[0] - d[0], bidegree[1] - d[1])
         entries.append(EigenEntry(chi1 + chi2, d, dim))
     entries.sort(key=lambda e: e.character)
 
     # each contributing pair must kill the graph generators (g, psi(g)); it
-    # then descends to its second factor on G = (G x G)/Gamma
-    graph = [(g, psi(g)) for g in group.generators()]
+    # then descends to its second factor on G = (G x G)/Gamma.  The pairing
+    # is a dot product with the weighted coordinates of g and of psi(g).  A
+    # row is joined from two rank-sized tuples: CPython frees a tuple(map(...))
+    # of length 2 * rank to a free list that only the chi1 + chi2 joins above
+    # draw from, which then grows by rank tuples per report up to its cap.
+    weights, ex = group.weights, group.exponent
+    graph = [tuple(map(mul, unit, weights)) + tuple(map(mul, psi._image(unit), weights))
+             for unit in units]
     contributing = []
     for entry in entries:
         if entry.dimension > 0:
-            chi1 = group.character(entry.character[:rank])
-            chi2 = group.character(entry.character[rank:])
-            if any((chi1.pairing(g) + chi2.pairing(h)) % group.exponent for g, h in graph):
+            if any(sum(map(mul, entry.character, row)) % ex for row in graph):
                 raise InternalInconsistency(
                     f"character {entry.character} does not vanish on the graph, "
                     "so it does not descend")
-            contributing.append(chi2)
+            contributing.append(Character._of(group, entry.character[rank:]))
 
     p2 = sum(e.dimension for e in entries)
     if p2 != invariants.K2 + invariants.chi:

@@ -348,13 +348,36 @@ def compile_schema(schema):
     unknown = sorted(set(schema) - set(_KEYWORDS))
     if unknown:
         raise ValueError(f"unsupported schema keywords {unknown}")
-    check, valid = _all([_KEYWORDS[k](v, schema) for k, v in schema.items() if _KEYWORDS[k]])
+    faces = [_KEYWORDS[k](v, schema) for k, v in schema.items() if _KEYWORDS[k]]
+    if schema.get("type") == "object" and schema.get("additionalProperties") is not False:
+        faces.append(_string_keys())
+    check, valid = _all(faces)
     bounds = _integer_bounds(schema)
     if bounds:  # the valid faces of type, minimum and maximum as one test
         low, high = bounds
 
         def valid(value):
             return type(value) is int and low <= value <= high
+    return check, valid
+
+
+def _string_keys():
+    """The two faces of the rule that a JSON object's keys are strings, which
+    only a payload built in-process can break.  compile_schema adds it to
+    every object schema that admits other keys than its properties; a closed
+    object already reports such a key as an additional property.  It is
+    checked after the keywords, so an error in the key's value wins over it."""
+    def check(value, path, errors):
+        if isinstance(value, dict):
+            errors.extend((path + (key,), f"object key {_shown(key)} is not a string")
+                          for key in value if not isinstance(key, str))
+
+    def valid(value):
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    return False
+        return True
     return check, valid
 
 

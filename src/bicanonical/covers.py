@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .grouplib import AbelianGroup, GroupElement, Subgroup, common_kernel
+from .grouplib import AbelianGroup, GroupElement, Subgroup, common_kernel, order_of
 from .piclattice import DivisorClass, Lattice, canonical_class
 
 
@@ -133,7 +133,9 @@ class BranchDataP1:
     the degrees of L_1..L_n attached to the dual basis characters.  Zero
     divisors may simply be omitted.  The branch elements are also kept as
     weighted coordinates, so a charged degree is a sum of integer dot
-    products, and the building-data checks run once (`validation`).
+    products, and as the inertia list of (coordinates, order, degree), so
+    Riemann-Hurwitz and the fixed points read each order once.  The
+    building-data checks run once (`validation`).
     """
 
     def __init__(self, group: AbelianGroup, entries, line_bundles=None):
@@ -163,8 +165,9 @@ class BranchDataP1:
         self.line_bundles = None if line_bundles is None else tuple(int(x) for x in line_bundles)
         if self.line_bundles is not None and len(self.line_bundles) != group.rank:
             raise InvalidCoverData("need one line bundle degree per generator")
-        weights = group.weights
+        weights, moduli = group.weights, group.moduli
         self._weighted = [(tuple(map(mul, g.coords, weights)), d) for g, d in degrees.items()]
+        self.inertia = [(g.coords, order_of(g.coords, moduli), d) for g, d in degrees.items()]
 
     def total_degree(self) -> int:
         return sum(self.degrees.values())
@@ -225,7 +228,7 @@ def rh_genus(data: BranchDataP1) -> int:
     number is 2n - sum of deg * (n - n/ord(gamma)) with n = |G|, exact since
     ord(gamma) divides n."""
     n = data.group.order
-    chi_top = 2 * n - sum(deg * (n - n // gamma.order()) for gamma, deg in data.degrees.items())
+    chi_top = 2 * n - sum(deg * (n - n // order) for _, order, deg in data.inertia)
     if chi_top % 2 != 0:
         raise InvalidCoverData("Riemann-Hurwitz gives an odd Euler number")
     return (2 - chi_top) // 2

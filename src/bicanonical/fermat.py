@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from . import beauville
 from .covers import InternalInconsistency, make_verdict
 from .exactlinalg import in_row_lattice
-from .grouplib import (AbelianGroup, Automorphism, Character, GroupElement, Subgroup,
-                       common_kernel)
+from .grouplib import AbelianGroup, Automorphism, Character, Subgroup, common_kernel
 
 FERMAT_GROUP = AbelianGroup((5, 5))
 FERMAT_DEGREE = 5
@@ -243,20 +242,16 @@ def residual_kernel(monomials) -> Subgroup:
     return common_kernel(diffs, FERMAT_GROUP)
 
 
-def fermat_fixed_elements() -> frozenset[GroupElement]:
-    """Elements of G with fixed points on the Fermat quintic.
+def fermat_fixed_elements() -> frozenset[tuple[int, int]]:
+    """Coordinates of the elements of G with fixed points on the Fermat
+    quintic, in the form beauville.is_free reads.
 
     (a, b) acts as diag(eps^a, eps^b, 1); a point with all coordinates
     nonzero forces a = b = 0, and the quintic meets each coordinate line
     {x = 0}, {y = 0}, {z = 0} (but no coordinate point), so the elements with
     fixed points are exactly those of shape (a, 0), (0, b) and (a, a).
     """
-    fixed = set()
-    for t in range(1, 5):
-        fixed.add(FERMAT_GROUP.element((t, 0)))
-        fixed.add(FERMAT_GROUP.element((0, t)))
-        fixed.add(FERMAT_GROUP.element((t, t)))
-    return frozenset(fixed)
+    return frozenset(coords for t in range(1, 5) for coords in ((t, 0), (0, t), (t, t)))
 
 
 @dataclass
@@ -279,7 +274,7 @@ def fermat_report() -> FermatReport:
     fixed = fermat_fixed_elements()
     free, witness = beauville.is_free(psi, fixed, fixed)
     if not free:
-        raise InternalInconsistency(f"the graph action has a fixed point at {witness.coords}")
+        raise InternalInconsistency(f"the graph action has a fixed point at {witness}")
     invariants = beauville.beauville_invariants(FERMAT_GENUS, FERMAT_GENUS,
                                                 FERMAT_GROUP.order)
     monomials = invariant_monomials()

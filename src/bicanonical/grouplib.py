@@ -5,6 +5,14 @@ residue vectors.  Characters are residue vectors of the (isomorphic) dual
 group; their pairing with elements is kept as an integer exponent modulo the
 group exponent, never as a floating-point root of unity.
 
+The product-quotient path runs on those residue vectors, as plain
+coordinate tuples, from the branch data to the kernel: orders of inertia
+elements (order_of), images under an automorphism (Automorphism._image),
+the pullback of characters and the weighted dot products that pair them
+with elements.  Group objects are built only at its two ends: one element
+per branch entry as the input is parsed, and the few characters whose
+common kernel is the verdict, with the members of the Subgroup it returns.
+
 Subgroups are built from generators.  A generator already in the subgroup H
 so far adds nothing; any other adds the cosets H + k*gen for k = 1..r-1,
 where r is the least integer with r*gen in H.  No sum is formed twice, so a
@@ -25,8 +33,8 @@ reduced by construction, and AbelianGroup.element and .character reduce
 (and check the length of) what they are given first.  Calling
 GroupElement(...) or Character(...) directly raises TypeError, so no
 unchecked public path exists.  An automorphism checks its bijectivity on
-raw coordinate tuples.  The command line caps the group order at
-MAX_GROUP_ORDER.
+raw coordinate tuples, growing the image set one generator column at a
+time.  The command line caps the group order at MAX_GROUP_ORDER.
 """
 
 from __future__ import annotations
@@ -116,6 +124,11 @@ def _add(x: tuple[int, ...], y: tuple[int, ...], moduli: tuple[int, ...]) -> tup
     return tuple(map(mod, map(add, x, y), moduli))
 
 
+def order_of(coords: tuple[int, ...], moduli: tuple[int, ...]) -> int:
+    """The order of the element with the given reduced coordinates."""
+    return lcm(*(m // gcd(c, m) for c, m in zip(coords, moduli)))
+
+
 class _Residues:
     """Shared residue-vector arithmetic for elements and characters."""
 
@@ -164,7 +177,7 @@ class GroupElement(_Residues):
     coords: tuple[int, ...]
 
     def order(self) -> int:
-        return lcm(*(m // gcd(c, m) for c, m in zip(self.coords, self.group.moduli)))
+        return order_of(self.coords, self.group.moduli)
 
 
 @dataclass(frozen=True, init=False)
@@ -183,7 +196,13 @@ class Character(_Residues):
 @dataclass(frozen=True)
 class Automorphism:
     """Automorphism of an abelian group; matrix columns are the images of the
-    standard generators.  Bijectivity is verified exhaustively on creation."""
+    standard generators.  On creation the matrix must define a homomorphism
+    whose image is the whole group.  The image is grown one generator column
+    at a time: the images of the elements spanned by the first j generators,
+    shifted by k times column j for k = 1..m_j - 1, give those spanned by the
+    first j + 1.  That is the set an exhaustive scan of the group would find,
+    in at most 2|G| tuple additions for exponent 2 instead of |G| * rank dot
+    products."""
 
     group: AbelianGroup
     matrix: tuple[tuple[int, ...], ...]
@@ -199,7 +218,13 @@ class Automorphism:
                 # be killed by m_j
                 if (moduli[j] * self.matrix[i][j]) % moduli[i] != 0:
                     raise GroupError("matrix does not define a homomorphism")
-        images = {self._image(coords) for coords in self.group.coordinate_vectors()}
+        images = {(0,) * n}
+        for j, m in enumerate(moduli):
+            column = tuple(row[j] for row in self.matrix)
+            shifted = images
+            for _ in range(m - 1):
+                shifted = {_add(image, column, moduli) for image in shifted}
+                images |= shifted
         if len(images) != self.group.order:
             raise GroupError("matrix is not invertible over the group")
 

@@ -3,10 +3,14 @@
 Each function here recomputes or builds something the library does not
 need for its own outputs: Riemann-Hurwitz over Q (against covers.rh_genus),
 projectivities of a configuration (h^0 is invariant under them), the inverse
-of an automorphism, the 225 Fermat bimonomials, the Fermat weight check at
-all 5^6 residue tuples (against fermat.verify_weight_derivation), the
-dual-basis line bundle degrees of P^1 branch data, and the Inoue building
-data.  The library does not import this module.
+of an automorphism, the automorphism check by an exhaustive scan of the
+group (against the growing image set of grouplib.Automorphism), fixed
+points and graph freeness on group objects (against the coordinate tuples
+of beauville.fixed_point_elements and is_free), the 225 Fermat bimonomials,
+the Fermat weight check at all 5^6 residue tuples (against
+fermat.verify_weight_derivation), the dual-basis line bundle degrees of P^1
+branch data, and the Inoue building data.  The library does not import this
+module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from fractions import Fraction
 
 from bicanonical.covers import BranchDataSurface, InvalidCoverData
 from bicanonical.fermat import BiMonomial
-from bicanonical.grouplib import Automorphism
+from bicanonical.grouplib import Automorphism, GroupElement
 from bicanonical.linsys import PointConfig, ProjectivePoint
 from bicanonical.piclattice import quadrilateral_catalog
 
@@ -55,6 +59,44 @@ def inverse(psi: Automorphism) -> Automorphism:
     lookup = {psi(g): g for g in psi.group.elements()}
     return Automorphism.from_images(
         psi.group, [lookup[gen].coords for gen in psi.group.generators()])
+
+
+def automorphism_error(group, matrix) -> str | None:
+    """The message with which the exhaustive check rejects a matrix over the
+    group, or None if it is an automorphism: the shape, then the
+    homomorphism condition on every entry, then one image per element,
+    found by applying the matrix to every coordinate vector of the group."""
+    moduli, n = group.moduli, group.rank
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        return "automorphism matrix has the wrong shape"
+    if any((moduli[j] * matrix[i][j]) % moduli[i] for i in range(n) for j in range(n)):
+        return "matrix does not define a homomorphism"
+    images = {tuple(sum(a * c for a, c in zip(row, coords)) % m
+                    for row, m in zip(matrix, moduli))
+              for coords in itertools.product(*(range(m) for m in moduli))}
+    if len(images) != group.order:
+        return "matrix is not invertible over the group"
+    return None
+
+
+def fixed_elements_of(data) -> frozenset[GroupElement]:
+    """The elements with fixed points on a P^1 cover, as group objects: the
+    multiples of each branch element until they reach zero."""
+    fixed = set()
+    for gamma in data.degrees:
+        power = gamma
+        while not power.is_zero():
+            fixed.add(power)
+            power = power + gamma
+    return frozenset(fixed)
+
+
+def free_with_witness(psi: Automorphism, fix1, fix2) -> tuple[bool, GroupElement | None]:
+    """Freeness of the graph of psi on group objects: the elements g of fix1
+    with psi(g) in fix2, and the least of them by coordinates."""
+    violations = sorted((g for g in fix1 if psi(g) in fix2 and not g.is_zero()),
+                        key=lambda g: g.coords)
+    return (False, violations[0]) if violations else (True, None)
 
 
 def all_bimonomials() -> list[BiMonomial]:

@@ -546,7 +546,7 @@ def test_double_cover_error_names_its_label_once(tmp_path, capsys):
 
 
 def test_non_free_fermat_action_exits_2(capsys, monkeypatch):
-    every_element = frozenset(g for g in fermat.FERMAT_GROUP.elements() if not g.is_zero())
+    every_element = frozenset(c for c in fermat.FERMAT_GROUP.coordinate_vectors() if any(c))
     monkeypatch.setattr(fermat, "fermat_fixed_elements", lambda: every_element)
     code, out = run_cli(capsys, "run", "fermat-z52")
     assert code == 2
@@ -946,7 +946,16 @@ def test_value_repr_cannot_show_is_an_input_error_at_its_path(name, path, make, 
      "$.systems[0].class[(1, 2)]: 'x' is not of type 'integer'"),
     ({"kind": "linsys", "systems": [{"class": {(1, 2): "x", "l": "y"}}]},
      "$.systems[0].class.l: 'y' is not of type 'integer'"),
-], ids=["huge-key", "tuple-key", "tuple-and-string-keys"])
+    # with valid values the keys themselves are the error, the int key first
+    ({"kind": "linsys", "systems": [{"class": {(1, 2): 1, 5: 1}}]},
+     "$.systems[0].class[5]: object key 5 is not a string"),
+    ({"kind": "linsys", "systems": [{"class": {10 ** 5000: 1}}]},
+     "$.systems[0].class[<integer of 5001 digits>]: "
+     "object key <integer of 5001 digits> is not a string"),
+    ({"kind": "linsys", "systems": [{"degree": 2, "multiplicities": {(1, 2): 1}}]},
+     "$.systems[0].multiplicities[(1, 2)]: object key (1, 2) is not a string"),
+], ids=["huge-key", "tuple-key", "tuple-and-string-keys", "tuple-and-int-class-keys",
+        "huge-class-key", "tuple-multiplicity-key"])
 def test_non_string_key_is_an_input_error_at_its_path(payload, message):
     with pytest.raises(cli.ScenarioError) as caught:
         cli.run_scenario(payload)

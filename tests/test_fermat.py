@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicanonical import fermat
-from bicanonical.beauville import is_free
+from bicanonical.beauville import fixed_point_elements, is_free
+from bicanonical.covers import BranchDataP1
 from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVector,
                                 builtin_ratio_identities, combination_vector,
                                 factor_weight, fermat_fixed_elements, fermat_psi,
@@ -15,7 +16,9 @@ from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVec
                                 residual_character, residual_kernel,
                                 verify_ratio_identity, verify_weight_derivation,
                                 weight_coefficients, x1_5_over_z1_5, x5_over_z5)
-from oracles import all_bimonomials, weight_derivation_at_all_tuples
+from bicanonical.grouplib import Automorphism
+from oracles import (all_bimonomials, automorphism_error, fixed_elements_of,
+                     free_with_witness, weight_derivation_at_all_tuples)
 
 
 def weight(a, b, m):
@@ -251,9 +254,33 @@ def test_fixed_elements_and_freeness():
     assert len(fixed) == 12
     expected = {(a, 0) for a in range(1, 5)} | {(0, b) for b in range(1, 5)} \
         | {(a, a) for a in range(1, 5)}
-    assert {g.coords for g in fixed} == expected
+    assert fixed == expected
     free, witness = is_free(fermat_psi(), fixed, fixed)
     assert free and witness is None
+
+
+def test_freeness_on_coordinates_matches_the_object_route_on_the_fermat_data():
+    # the quintic as a Z5^2 cover of P^1, branched over three points with
+    # inertia <(1,0)>, <(0,1)> and <(1,1)>, has the fixed points fermat_report
+    # uses; every automorphism of Z5^2 then gives the object route's verdict
+    G = FERMAT_GROUP
+    curve = BranchDataP1(G, {G.element(c): (f"P{i}",) for i, c in
+                             enumerate([(1, 0), (0, 1), (4, 4)])}, line_bundles=[1, 1])
+    objects = fixed_elements_of(curve)
+    fixed = fermat_fixed_elements()
+    assert fixed_point_elements(curve) == fixed == {g.coords for g in objects}
+    verdicts = []
+    for entries in itertools.product(range(5), repeat=4):
+        matrix = (entries[:2], entries[2:])
+        if automorphism_error(G, matrix) is not None:
+            continue
+        psi = Automorphism(G, matrix)
+        free, witness = is_free(psi, fixed, fixed)
+        oracle_free, oracle_witness = free_with_witness(psi, objects, objects)
+        assert (free, witness) == (oracle_free, oracle_witness and oracle_witness.coords)
+        verdicts.append(free)
+    assert len(verdicts) == 480 and 0 < sum(verdicts) < 480
+    assert is_free(fermat_psi(), fixed, fixed) == (True, None)
 
 
 def test_fermat_report():

@@ -1,3 +1,4 @@
+import itertools
 import time
 from math import gcd
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from bicanonical.grouplib import (Automorphism, Character, GroupElement, GroupError,
                                   Subgroup, common_kernel, element_name, make_group,
                                   orthogonal_complement)
-from oracles import inverse
+from oracles import automorphism_error, inverse
 
 
 def identity(group):
@@ -100,6 +101,57 @@ def test_automorphism_inverse_is_inverse():
         for g in G.elements():
             assert inv(psi(g)) == g
             assert psi(inv(g)) == g
+
+
+# The automorphism check against the exhaustive scan of tests/oracles.py.
+_CHECKED_MODULI = [(2, 2, 2, 2), (2, 4), (3, 9), (5, 5)]
+
+
+def _verdict(group, matrix):
+    """The message with which Automorphism rejects a matrix, or None."""
+    try:
+        Automorphism(group, matrix)
+    except GroupError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _square_matrices(draw):
+    """A group of _CHECKED_MODULI and a matrix over it with raw entries,
+    mostly of the right shape.  Over Z2 x Z4 and Z3 x Z9 most draws are no
+    homomorphism, and many homomorphisms are singular."""
+    moduli = draw(st.sampled_from(_CHECKED_MODULI))
+    n = len(moduli)
+    width = draw(st.sampled_from([n] * 9 + [n - 1, n + 1]))
+    entries = st.integers(-20, 20)
+    matrix = tuple(tuple(draw(entries) for _ in range(width)) for _ in range(n))
+    return make_group(moduli), matrix
+
+
+@given(_square_matrices())
+@settings(max_examples=300, deadline=None)
+def test_automorphism_check_matches_the_exhaustive_scan(case):
+    group, matrix = case
+    assert _verdict(group, matrix) == automorphism_error(group, matrix)
+
+
+@pytest.mark.parametrize("moduli", [(2, 4), (3, 9), (5, 5)])
+def test_automorphism_check_matches_the_scan_on_every_reduced_matrix(moduli):
+    """Every matrix of reduced entries over the group, so automorphisms and
+    singular matrices are both met, and over Z2 x Z4 and Z3 x Z9 matrices
+    that are no homomorphism; Z2^4 has 2^16 of them and is left to the
+    random draws."""
+    group = make_group(moduli)
+    outcomes = set()
+    for entries in itertools.product(*(range(mi) for mi in moduli for _ in moduli)):
+        n = len(moduli)
+        matrix = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+        verdict = _verdict(group, matrix)
+        assert verdict == automorphism_error(group, matrix)
+        outcomes.add(verdict)
+    assert {None, "matrix is not invertible over the group"} <= outcomes
+    assert ("matrix does not define a homomorphism" in outcomes) == (len(set(moduli)) > 1)
 
 
 # Test-local oracle: the graph {(g, psi(g))} as a subgroup of G x G, which

@@ -203,7 +203,7 @@ def test_fuzzed_freeness_symmetry():
         psi = _random_automorphism(rng, group)
         if psi is None:
             continue
-        elements = [g for g in group.elements() if not g.is_zero()]
+        elements = [g.coords for g in group.elements() if not g.is_zero()]
         fix1 = frozenset(rng.sample(elements, rng.randrange(len(elements) + 1)))
         fix2 = frozenset(rng.sample(elements, rng.randrange(len(elements) + 1)))
         assert is_free(psi, fix1, fix2)[0] == is_free(inverse(psi), fix2, fix1)[0]
