@@ -59,6 +59,46 @@ MUTANTS = [
     ("src/bicanonical/beauville.py",
      "return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0",
      "return (a + 1) * (b + 1) if a > 0 and b >= 0 else 0"),
+    # chi o psi read off the matrix untransposed
+    ("src/bicanonical/grouplib.py",
+     "return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m",
+     "return tuple(sum(c * matrix[j][i] * m // moduli[i] for i, c in enumerate(chi)) % m"),
+    # a frame point kills one exponent fewer than its conditions do
+    ("src/bicanonical/linsys.py",
+     "limit[k] = d - 1 - min(mult[i] - 1, d)",
+     "limit[k] = d - min(mult[i] - 1, d)"),
+    # a sign flipped in the closed Fermat weight formula
+    ("src/bicanonical/fermat.py",
+     "return 2 + i + alpha - beta, 3 + j + alpha + 2 * beta",
+     "return 2 + i + alpha + beta, 3 + j + alpha + 2 * beta"),
+    # elimination skipped below a negative entry of the pivot column
+    ("src/bicanonical/exactlinalg.py",
+     "            a = row[col]\n            if a:",
+     "            a = row[col]\n            if a > 0:"),
+    # the branch degree charged on the kernel of chi instead of outside it
+    ("src/bicanonical/covers.py",
+     "return sum(d for row, d in self._weighted if sum(map(mul, chi, row)) % ex)",
+     "return sum(d for row, d in self._weighted if not sum(map(mul, chi, row)) % ex)"),
+    # the largest violating element reported as the freeness witness
+    ("src/bicanonical/beauville.py",
+     "return False, min(violations)",
+     "return False, max(violations)"),
+    # Riemann-Hurwitz with every inertia order taken as 2
+    ("src/bicanonical/covers.py",
+     "chi_top = 2 * n - sum(deg * (n - n // order) for _, order, deg in data.inertia)",
+     "chi_top = 2 * n - sum(deg * (n - n // 2) for _, order, deg in data.inertia)"),
+    # a coordinate string read without its denominator
+    ("src/bicanonical/linsys.py",
+     "        return numerator, denominator\n",
+     "        return numerator, 1\n"),
+    # the frame-only shortcut tested on the multiplicities, frame included
+    ("src/bicanonical/linsys.py",
+     "others = [i for i, m in enumerate(rest) if m > 0]",
+     "others = [i for i, m in enumerate(mult) if m > 0]"),
+    # classes of equal lattices built apart refused as a mismatch
+    ("src/bicanonical/piclattice.py",
+     "if other.lattice is not self.lattice and other.lattice != self.lattice:",
+     "if other.lattice is not self.lattice:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

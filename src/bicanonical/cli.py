@@ -23,7 +23,9 @@ schema, kind, group order and exponent, point coordinate size, branch
 entries, unknown names) or a ValueError from the library (InvalidCoverData,
 GroupError, LatticeMismatch, the linsys size caps).  An error raised while
 one entry of the payload is read is prefixed with that entry's JSON path
-(_at), as in $.systems[i] or $.curve1.branch[i]; invalid building data reads
+(_at), as in $.systems[i] or $.curve1.branch[i], and a capped h^0 of a
+Z_2 x Z_2 cover class with the paths of the inputs the class is built from
+($.branch, $.line_bundles.Li or both); invalid building data reads
 "<what> building data invalid, failed relation: <name> (<detail>)".
 2: a failed consistency identity, raised as covers.InternalInconsistency
 or as a FailedReport carrying the partial report that is printed.
@@ -574,7 +576,11 @@ def run_z22(payload, verbose=False):
 
     validation = covers.validate_building_data(data).require(covers.Z22_COVER)
     result = {"validation": {"ok": True, "checks": _checks(validation)}}
-    report = covers.z22_bicanonical_report(data, lambda cls: linsys.h0_class(cfg, cls))
+    try:
+        report = covers.z22_bicanonical_report(data, lambda cls: linsys.h0_class(cfg, cls))
+    except covers.InvalidCoverClass as exc:
+        paths = ("$.branch" if name == "D" else f"$.line_bundles.{name}" for name in exc.inputs)
+        raise _at(", ".join(paths), exc) from exc
     kernel = report.kernel.elements()
     result.update({
         "K2_cover": report.invariants.K2,

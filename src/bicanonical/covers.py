@@ -40,6 +40,16 @@ class InvalidBranchDivisor(InvalidCoverData):
         self.element = element
 
 
+class InvalidCoverClass(InvalidCoverData):
+    """An input error (a linsys size cap) raised while h^0 of a class of a
+    Z_2 x Z_2 cover was taken; `inputs` names the building data the class is
+    built from: "D" for the branch divisors, "L1" or "L2" for a line bundle."""
+
+    def __init__(self, message: str, inputs: tuple[str, ...]):
+        super().__init__(message)
+        self.inputs = inputs
+
+
 class InternalInconsistency(RuntimeError):
     """A consistency identity (eigentable sum, stored value, freeness) failed."""
 
@@ -312,7 +322,7 @@ def z22_surface_cover_invariants(data: BranchDataSurface, h0) -> CoverInvariants
     is rational, chi = 1), and K_X^2 from 2K_X = pullback of (2K + D)."""
     validate_building_data(data).require(Z22_COVER)
     K = canonical_class(data.lattice)
-    pg = sum(_named_h0(h0, f"K + L{i}", K + Li) for i, Li in enumerate(data.L, 1))
+    pg = sum(_named_h0(h0, f"K + L{i}", K + Li, (f"L{i}",)) for i, Li in enumerate(data.L, 1))
     s = sum(Li.dot(K + Li) for Li in data.L)
     if s % 2 != 0:
         raise InvalidCoverData("sum of L_i(K + L_i) is odd, so chi is not an integer")
@@ -322,23 +332,24 @@ def z22_surface_cover_invariants(data: BranchDataSurface, h0) -> CoverInvariants
     return CoverInvariants(K2, chi, pg, pg + 1 - chi)
 
 
-def _named_h0(h0, role: str, cls: DivisorClass) -> int:
-    """h0(cls), where an input error (a linsys size cap) names the class and
-    its role in the cover, such as K + L2 or 2K + D - L1."""
+def _named_h0(h0, role: str, cls: DivisorClass, inputs: tuple[str, ...]) -> int:
+    """h0(cls), where an input error (a linsys size cap) names the class, its
+    role in the cover, such as K + L2 or 2K + D - L1, and the inputs it is
+    built from (see InvalidCoverClass)."""
     try:
         return h0(cls)
     except ValueError as exc:
-        raise InvalidCoverData(f"h0({role}) = h0({cls}): {exc}") from exc
+        raise InvalidCoverClass(f"h0({role}) = h0({cls}): {exc}", inputs) from exc
 
 
 def projection_decomposition(total: DivisorClass, bundles, h0) -> list[tuple[str, DivisorClass, int]]:
     """Character decomposition of the sections of the pullback of
     `total` = 2K + D along a Z_2 x Z_2 cover: the invariant part h^0(total)
     and one twisted part h^0(total - L_i) per nontrivial character."""
-    out = [("1", total, _named_h0(h0, "2K + D", total))]
+    out = [("1", total, _named_h0(h0, "2K + D", total, ("D",)))]
     for i, Li in enumerate(bundles, start=1):
         cls = total - Li
-        out.append((f"chi{i}", cls, _named_h0(h0, f"2K + D - L{i}", cls)))
+        out.append((f"chi{i}", cls, _named_h0(h0, f"2K + D - L{i}", cls, ("D", f"L{i}"))))
     return out
 
 

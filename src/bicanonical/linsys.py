@@ -12,10 +12,12 @@ order < m_i; for m_i - 1 > d the order-d partials are multiples of the
 coefficients and already force F = 0.  A point is scaled to coprime
 integer coordinates once, when it is parsed (ProjectivePoint), and stays an
 integer triple from there on, so the rows are integers and the rank is
-computed exactly.  On special point configurations (such as the complete
-quadrilateral) this rank drops below the generic count, which is precisely
-the phenomenon the computations here need to capture; no genericity
-assumption is ever made.
+computed exactly.  Parsing itself is in integers: an int is its own
+numerator, and a string "p" or "p/q" is split into two ints; only other
+exact types (Fraction, bool, ...) go through Fraction.  On special point
+configurations (such as the complete quadrilateral) this rank drops below
+the generic count, which is precisely the phenomenon the computations here
+need to capture; no genericity assumption is ever made.
 
 h0_fat_points first frames the system.  h^0 does not change under a
 projectivity, so up to three linearly independent points, heaviest first
@@ -29,7 +31,9 @@ monomials plus the rank of the other points' rows restricted to the alive
 columns, those with every frame exponent <= d - 1 - t_k, and
 h^0 = |alive| - rank of the restricted rows, with no approximation.  The
 moved points are kept as primitive integer triples, and only the alive
-columns of the other points' rows are built.
+columns of the other points' rows are built.  When no point outside the
+frame has m > 0 (every condition sits on at most three independent points),
+there are no such rows: h^0 = |alive|, and no matrix is built or ranked.
 """
 
 from __future__ import annotations
@@ -60,15 +64,25 @@ MAX_COORDINATE = 2**16
 _COORDINATE = re.compile(r"-?\d+(/\d+)?")
 
 
-def _to_fraction(x) -> Fraction:
+def _ratio(x) -> tuple[int, int]:
+    """An exact coordinate as (numerator, denominator), the denominator
+    positive but not necessarily coprime to the numerator ("2/4" gives
+    (2, 4)).  Plain ints and coordinate strings are read as integers; any
+    other exact type goes through Fraction."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
+        if not _COORDINATE.fullmatch(x):
+            raise ValueError(f"point coordinate {x!r} is not an integer or a fraction p/q")
+        numerator, _, denominator = x.partition("/")
+        numerator, denominator = int(numerator), int(denominator or 1)
+        if denominator == 0:
+            raise ValueError(f"point coordinate {x!r} has a zero denominator")
+        return numerator, denominator
     if isinstance(x, float):
         raise TypeError("point coordinates must be exact (int, Fraction or 'p/q' string)")
-    if isinstance(x, str) and not _COORDINATE.fullmatch(x):
-        raise ValueError(f"point coordinate {x!r} is not an integer or a fraction p/q")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"point coordinate {x!r} has a zero denominator") from None
+    value = Fraction(x)
+    return value.numerator, value.denominator
 
 
 @dataclass(frozen=True)
@@ -80,12 +94,11 @@ class ProjectivePoint:
     coords: tuple[int, int, int]
 
     def __post_init__(self):
-        values = [_to_fraction(c) for c in self.coords]
-        if len(values) != 3 or not any(values):
+        values = [_ratio(c) for c in self.coords]
+        if len(values) != 3 or not any(n for n, _ in values):
             raise ValueError("a projective point needs three coordinates, not all zero")
-        denom = lcm(*(c.denominator for c in values))
-        object.__setattr__(self, "coords", _primitive(
-            [c.numerator * (denom // c.denominator) for c in values]))
+        denom = lcm(*(d for _, d in values))
+        object.__setattr__(self, "coords", _primitive([n * (denom // d) for n, d in values]))
 
     @classmethod
     def of(cls, x, y, z) -> "ProjectivePoint":
@@ -189,10 +202,6 @@ class FatPointSystem:
             raise ValueError("multiplicities must be >= 0")
 
 
-def _monomials(d: int) -> list[tuple[int, int, int]]:
-    return [(a, b, d - a - b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
-
-
 def _partial_tables(value: int, d: int, t: int) -> list[list[int]]:
     """table[k][a] = the k-th derivative of v^a at v = value, for a <= d, k <= t."""
     powers = [value ** e for e in range(d + 1)]
@@ -264,16 +273,22 @@ def h0_fat_points(cfg: PointConfig, system: FatPointSystem) -> int:
     limit = [d] * 3
     for k, i in enumerate(frame):
         limit[k] = d - 1 - min(mult[i] - 1, d)
-    alive = [(a, b, c) for a, b, c in _monomials(d)
-             if a <= limit[0] and b <= limit[1] and c <= limit[2]]
+    # the degree-d monomials (a, b, c) within the limits, a then b descending
+    la, lb, lc = limit
+    alive = [(a, b, d - a - b) for a in range(min(la, d), -1, -1)
+             for b in range(min(lb, d - a), max(d - a - lc, 0) - 1, -1)]
     if not alive:
         return 0
-    moved = [_primitive([_dot(row, p) for row in adjugate]) for p in ints]
     rest = list(mult)
     for i in frame:
         rest[i] = 0
-    return len(alive) - exact_rank(interpolation_matrix(moved, FatPointSystem(d, tuple(rest)),
-                                                        alive))
+    # only the points outside the frame with m > 0 add rows
+    others = [i for i, m in enumerate(rest) if m > 0]
+    if not others:
+        return len(alive)
+    moved = [_primitive([_dot(row, ints[i]) for row in adjugate]) for i in others]
+    system = FatPointSystem(d, tuple(rest[i] for i in others))
+    return len(alive) - exact_rank(interpolation_matrix(moved, system, alive))
 
 
 def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None) -> int:

@@ -5,12 +5,16 @@ points, with intersection form diag(1, -1, ..., -1) in the basis
 (l, e1, ..., en), and the quadric P1 x P1 with form [[0, 1], [1, 0]] in the
 two rulings.  Classes from different lattices never mix; any attempt is a
 hard error, since silent basis confusion is the main bug class in this kind
-of bookkeeping.
+of bookkeeping.  Lattices are frozen, and make_blowup_lattice builds one
+per n, so the classes of one blowup share their lattice object and the
+mixing check is an identity test; equal lattices built apart still mix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import add, mul, sub
 
 from .exactlinalg import leading_principal_minors
 
@@ -50,8 +54,10 @@ class Lattice:
         return DivisorClass(self, vec)
 
 
+@cache
 def make_blowup_lattice(n: int) -> Lattice:
-    """Picard lattice of the blowup of P^2 at n points."""
+    """Picard lattice of the blowup of P^2 at n points, built once per n:
+    the lattice is frozen, so every caller shares it."""
     if n < 0:
         raise ValueError("cannot blow up a negative number of points")
     labels = ("l",) + tuple(f"e{i}" for i in range(1, n + 1))
@@ -77,16 +83,16 @@ class DivisorClass:
     def _check(self, other: "DivisorClass"):
         if not isinstance(other, DivisorClass):
             raise TypeError(f"expected a divisor class, got {type(other).__name__}")
-        if other.lattice != self.lattice:
+        if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise LatticeMismatch("divisor classes live on different lattices")
 
     def __add__(self, other):
         self._check(other)
-        return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.lattice, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return DivisorClass(self.lattice, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(self.lattice, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
         return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
@@ -98,9 +104,8 @@ class DivisorClass:
 
     def dot(self, other: "DivisorClass") -> int:
         self._check(other)
-        g = self.lattice.gram
-        return sum(self.coeffs[i] * g[i][j] * other.coeffs[j]
-                   for i in range(self.lattice.rank) for j in range(self.lattice.rank))
+        b = other.coeffs
+        return sum(a * sum(map(mul, row, b)) for a, row in zip(self.coeffs, self.lattice.gram))
 
     def self_intersection(self) -> int:
         return self.dot(self)

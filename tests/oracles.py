@@ -2,7 +2,9 @@
 
 Each function here recomputes or builds something the library does not
 need for its own outputs: Riemann-Hurwitz over Q (against covers.rh_genus),
-projectivities of a configuration (h^0 is invariant under them), the inverse
+point parsing through Fraction (against the integer parsing of
+linsys.ProjectivePoint), projectivities of a configuration (h^0 is invariant
+under them), the inverse
 of an automorphism, the automorphism check by an exhaustive scan of the
 group (against the growing image set of grouplib.Automorphism), fixed
 points and graph freeness on group objects (against the coordinate tuples
@@ -16,7 +18,9 @@ module.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from bicanonical.covers import BranchDataSurface, InvalidCoverData
 from bicanonical.fermat import BiMonomial
@@ -40,6 +44,35 @@ def rh_genus_numeric(cover_degree: int, branch) -> int:
     if chi_top % 2 != 0:
         raise InvalidCoverData("Riemann-Hurwitz gives an odd Euler number")
     return (2 - chi_top) // 2
+
+
+_COORDINATE = re.compile(r"-?\d+(/\d+)?")
+
+
+def to_fraction(x) -> Fraction:
+    """An exact point coordinate as a Fraction: an int, a Fraction or a string
+    "p" or "p/q"; a float, an exponent or a decimal string is refused."""
+    if isinstance(x, float):
+        raise TypeError("point coordinates must be exact (int, Fraction or 'p/q' string)")
+    if isinstance(x, str) and not _COORDINATE.fullmatch(x):
+        raise ValueError(f"point coordinate {x!r} is not an integer or a fraction p/q")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"point coordinate {x!r} has a zero denominator") from None
+
+
+def fraction_point(coords) -> tuple[int, int, int]:
+    """The coprime integer triple of a point, by way of Fractions: each
+    coordinate reduced, scaled by the lcm of the denominators, divided by
+    the gcd, signs kept."""
+    values = [to_fraction(c) for c in coords]
+    if len(values) != 3 or not any(values):
+        raise ValueError("a projective point needs three coordinates, not all zero")
+    denom = lcm(*(c.denominator for c in values))
+    ints = [c.numerator * (denom // c.denominator) for c in values]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def apply_projectivity(cfg: PointConfig, matrix) -> PointConfig:

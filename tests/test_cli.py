@@ -716,13 +716,24 @@ def test_z22_h0_calls_are_capped(tmp_path, capsys):
 
 @pytest.mark.parametrize("branch, bundles, message", [
     ({"D1": {"l": 40}, "D2": {"l": 2}, "D3": {"l": 2}}, {"L1": {"l": 2}, "L2": {"l": 21}},
-     "h0(K + L2) = h0(18l + e1 + e2 + e3 + e4 + e5 + e6): "
+     "$.line_bundles.L2: h0(K + L2) = h0(18l + e1 + e2 + e3 + e4 + e5 + e6): "
      "degree must be between 0 and 12, got 18"),
     ({"D1": {"l": 10}, "D2": {"l": 10}, "D3": {"l": 10}}, {"L1": {"l": 10}, "L2": {"l": 10}},
-     "h0(2K + D) = h0(24l + 2e1 + 2e2 + 2e3 + 2e4 + 2e5 + 2e6): "
+     "$.branch: h0(2K + D) = h0(24l + 2e1 + 2e2 + 2e3 + 2e4 + 2e5 + 2e6): "
      "degree must be between 0 and 12, got 24"),
-], ids=["K+L2", "2K+D"])
+    ({"D1": {"l": 8}, "D2": {"l": 8}, "D3": {"l": 8}}, {"L1": {"l": 8}, "L2": {"l": 8}},
+     "$.branch: h0(2K + D) = h0(18l + 2e1 + 2e2 + 2e3 + 2e4 + 2e5 + 2e6): "
+     "degree must be between 0 and 12, got 18"),
+    # a line bundle of negative degree: 2K + D is at the cap, 2K + D - L1 past it
+    ({"D1": {"l": 22}, "D2": {"l": -2}, "D3": {"l": -2}}, {"L1": {"l": -2}, "L2": {"l": 10}},
+     "$.branch, $.line_bundles.L1: h0(2K + D - L1) = "
+     "h0(14l + 2e1 + 2e2 + 2e3 + 2e4 + 2e5 + 2e6): degree must be between 0 and 12, got 14"),
+    ({"D1": {"l": -2}, "D2": {"l": 22}, "D3": {"l": -2}}, {"L1": {"l": 10}, "L2": {"l": -2}},
+     "$.branch, $.line_bundles.L2: h0(2K + D - L2) = "
+     "h0(14l + 2e1 + 2e2 + 2e3 + 2e4 + 2e5 + 2e6): degree must be between 0 and 12, got 14"),
+], ids=["K+L2", "2K+D", "2K+D-all-8l", "2K+D-L1", "2K+D-L2"])
 def test_z22_h0_cap_names_its_class(tmp_path, capsys, branch, bundles, message):
+    """The message names the class and the input paths it is built from."""
     payload = {"kind": "z22-surface-cover", "branch": branch, "line_bundles": bundles}
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert (code, out) == (1, f"error: validation failed: {message}\n")

@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
 from math import gcd, perm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bicanonical.exactlinalg import exact_rank
-from bicanonical.linsys import (ConfigError, FatPointSystem, PointConfig, ProjectivePoint,
+from bicanonical import linsys
+from bicanonical.linsys import (ConfigError, FatPointSystem, PointConfig, ProjectivePoint, _ratio,
                                 collinear, h0_class, h0_fat_points, interpolation_matrix,
                                 quadrilateral_config)
 from bicanonical.linsys import MAX_DEGREE, MAX_FIXED_COMPONENTS
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
-from oracles import apply_projectivity
+from oracles import apply_projectivity, fraction_point, to_fraction
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +284,20 @@ def fat_point_cases(draw):
     return cfg, FatPointSystem(d, tuple(mult))
 
 
+def _framed_case(coords, d, mult):
+    points = tuple(ProjectivePoint.of(*c) for c in coords)
+    return (PointConfig(points, tuple(f"P{i}" for i in range(len(points)))),
+            FatPointSystem(d, tuple(mult)))
+
+
 @given(fat_point_cases())
+# three collinear heavy points: the third is outside the frame and reaches
+# the matrix
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 4, (3, 3, 3)))
+# a frame point with m > d + 1, beside a simple point
+@example(_framed_case([(1, 2, 0), (0, 1, 1)], 3, (6, 1)))
+# a single point: a frame-only system
+@example(_framed_case([(2, -1, 3)], 3, (2,)))
 @settings(max_examples=80, deadline=None)
 def test_h0_matches_the_full_fraction_matrix(case):
     cfg, system = case
@@ -345,6 +360,59 @@ def test_zero_denominator_coordinate_is_a_value_error():
             ProjectivePoint.of(coordinate, 1, 1)
 
 
+def _outcome(parse, value):
+    """What parse(value) returns, or the type and text of what it raises."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# exact coordinates: ints, unreduced p/q strings with leading zeros and
+# digits of any script, Fractions and bools
+_exact_coordinate = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30), st.integers(-3, 3),
+    st.from_regex(r"-?0*\d{1,8}(/0*\d{1,6})?", fullmatch=True),
+    st.sampled_from(["-0", "0/7", "-0/3", "007", "2/4", "-6/0004", "00/01"]),
+    st.fractions(), st.booleans())
+# and what must be refused: zero denominators, floats, exponent, decimal and
+# padded strings, strings past the interpreter's digit limit, None
+_coordinate_input = st.one_of(
+    _exact_coordinate, st.floats(), st.none(),
+    st.sampled_from(["1/0", "0/0", "-5/00", "1e3", "1.5", " 1", "1 ", "+1", "1/-2", "", "/2",
+                     "1/", "--1", "1_000", "1" * 4301, "1/" + "2" * 4301, "-" + "9" * 4301]))
+
+
+def _ratio_as_fraction(x):
+    numerator, denominator = _ratio(x)
+    assert type(numerator) is int and type(denominator) is int and denominator > 0
+    return Fraction(numerator, denominator)
+
+
+@given(_coordinate_input)
+@example("2/4")
+@example("-0")
+@example("1/0")
+@settings(max_examples=200)
+def test_ratio_matches_the_fraction_route(x):
+    assert _outcome(_ratio_as_fraction, x) == _outcome(to_fraction, x)
+
+
+@given(st.one_of(st.lists(_exact_coordinate, min_size=3, max_size=3),
+                 st.lists(_coordinate_input, max_size=4)))
+@example(["2/4", "1/2", 1])
+@example(["-0", 0, "0/5"])
+@example([1, 2])
+@example([1, 2, 3, 4])
+@example([True, "-2/4", Fraction(3, 6)])
+@settings(max_examples=200)
+def test_point_parsing_matches_the_fraction_route(coords):
+    """The coprime triple, or the exception type and text, of the integer
+    parser equal those of the Fraction route."""
+    parsed = _outcome(lambda c: ProjectivePoint(tuple(c)).coords, coords)
+    assert parsed == _outcome(fraction_point, coords)
+
+
 def test_degree_is_capped(cfg):
     assert h0_fat_points(cfg, FatPointSystem(MAX_DEGREE, (0,) * 6)) == \
         (MAX_DEGREE + 1) * (MAX_DEGREE + 2) // 2
@@ -367,12 +435,6 @@ def unframed_h0(cfg, system):
     eliminated over all degree-d monomials."""
     n_monomials = (system.degree + 1) * (system.degree + 2) // 2
     return n_monomials - exact_rank(full_matrix(cfg, system))
-
-
-def _framed_case(coords, d, mult):
-    points = tuple(ProjectivePoint.of(*c) for c in coords)
-    return (PointConfig(points, tuple(f"P{i}" for i in range(len(points)))),
-            FatPointSystem(d, tuple(mult)))
 
 
 _VERTICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -434,3 +496,42 @@ def framed_cases(draw):
 def test_frame_matches_the_unframed_route(case):
     cfg, system = case
     assert h0_fat_points(cfg, system) == unframed_h0(cfg, system)
+
+
+@st.composite
+def frame_only_cases(draw):
+    """1-3 independent points with m > 0 (m up to 10, so m > d + 1 occurs)
+    and up to four more points with m = 0, in a random order."""
+    heavy = [ProjectivePoint.of(*c) for c in draw(st.lists(_point, min_size=1, max_size=3))]
+    if len(heavy) == 2:
+        assume(not heavy[0].same_point(heavy[1]))
+    if len(heavy) == 3:
+        assume(not collinear(*heavy))
+    points = list(heavy)
+    for c in draw(st.lists(_point, max_size=4)):
+        point = ProjectivePoint.of(*c)
+        if not any(point.same_point(q) for q in points):
+            points.append(point)
+    mult = draw(st.lists(st.integers(1, 10), min_size=len(heavy), max_size=len(heavy)))
+    mult += [0] * (len(points) - len(heavy))
+    order = draw(st.permutations(range(len(points))))
+    cfg = PointConfig(tuple(points[i] for i in order),
+                      tuple(f"P{i}" for i in range(len(points))))
+    return cfg, FatPointSystem(draw(st.integers(0, 8)), tuple(mult[i] for i in order))
+
+
+def _refuse(*args):
+    raise AssertionError("a frame-only system reached the elimination")
+
+
+@given(frame_only_cases())
+@example(_framed_case([(1, 0, 0), (1, 1, 1), (2, -1, 3), (0, 1, 0)], 5, (0, 2, 3, 1)))
+@settings(max_examples=80, deadline=None)
+def test_a_frame_only_system_builds_no_matrix(case):
+    """When every positive multiplicity sits on at most three independent
+    points, the frame kills every condition: no matrix is built or ranked."""
+    cfg, system = case
+    with patch.object(linsys, "interpolation_matrix", _refuse), \
+            patch.object(linsys, "exact_rank", _refuse):
+        value = h0_fat_points(cfg, system)
+    assert value == unframed_h0(cfg, system)

@@ -39,6 +39,37 @@ def test_lattice_mismatch_is_hard_error():
         a.dot(b)
 
 
+def test_one_blowup_lattice_per_n():
+    assert make_blowup_lattice(6) is make_blowup_lattice(6)
+    assert quadrilateral_catalog().lattice is make_blowup_lattice(6)
+    assert make_blowup_lattice(2) is not make_blowup_lattice(3)
+
+
+def test_classes_of_equal_lattices_built_apart_mix():
+    first, second = make_quadric_lattice(), make_quadric_lattice()
+    assert first is not second and first == second
+    h1, h2 = first.basis("h1"), second.basis("h2")
+    assert (h1 + h2).coeffs == (1, 1)
+    assert (h1 - h2).coeffs == (1, -1)
+    assert h1.dot(h2) == 1
+    shared = make_blowup_lattice(2)
+    by_hand = Lattice(shared.labels, shared.gram, "blowup")
+    assert by_hand.basis("l").dot(shared.basis("l")) == 1
+    with pytest.raises(LatticeMismatch):
+        h1.dot(shared.basis("l"))
+
+
+@given(st.integers(0, 8), st.data())
+@settings(max_examples=60)
+def test_dot_is_the_gram_form(n, data):
+    lattice = make_quadric_lattice() if n == 0 else make_blowup_lattice(n)
+    coefficients = st.lists(st.integers(-50, 50), min_size=lattice.rank, max_size=lattice.rank)
+    a, b = lattice.cls(data.draw(coefficients)), lattice.cls(data.draw(coefficients))
+    g = lattice.gram
+    assert a.dot(b) == sum(a.coeffs[i] * g[i][j] * b.coeffs[j]
+                           for i in range(lattice.rank) for j in range(lattice.rank))
+
+
 def test_canonical_classes():
     assert canonical_class(make_blowup_lattice(6)).coeffs == (-3, 1, 1, 1, 1, 1, 1)
     assert canonical_class(make_quadric_lattice()).coeffs == (-2, -2)
