@@ -16,10 +16,9 @@ descends to chi2: its value on the representative (0, g).  The pullback is
 linear, so Automorphism.pullback runs once per report, on the unit
 characters, and every chi o psi is a sum of those rows.  The descent is
 checked directly on the graph generators (g, psi(g)), a second route to
-Gamma-perp, as weighted dot products.  The fixed points of the two curves
-and the freeness test are sets of coordinate tuples, and character objects
-are built only for the contributing characters whose common kernel is the
-verdict.
+Gamma-perp, as weighted dot products.  The fixed points of the two curves,
+the freeness test, the contributing characters and their common kernel, the
+verdict, are all coordinate tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from operator import mul
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      InvalidCoverData, Verdict, eigensheaf_degrees, genus_from_degrees,
                      make_verdict, rh_genus, validate_building_data)
-from .grouplib import Automorphism, Character, Subgroup, common_kernel
+from .grouplib import Automorphism, Subgroup, common_kernel
 
 
 def fixed_point_elements(data: BranchDataP1) -> frozenset[tuple[int, ...]]:
@@ -47,8 +46,7 @@ def is_free(psi: Automorphism, fix1, fix2) -> tuple[bool, tuple[int, ...] | None
     product iff g has one on the first curve and psi(g) has one on the second.
     fix1 and fix2 hold the coordinates of nonzero elements.  Returns (flag,
     witness); the witness is the smallest violating coordinate tuple."""
-    image = psi._image
-    violations = [g for g in fix1 if image(g) in fix2]
+    violations = [g for g in fix1 if psi(g) in fix2]
     if violations:
         return False, min(violations)
     return True, None
@@ -142,7 +140,7 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
     # of length 2 * rank to a free list that only the chi1 + chi2 joins above
     # draw from, which then grows by rank tuples per report up to its cap.
     weights, ex = group.weights, group.exponent
-    graph = [tuple(map(mul, unit, weights)) + tuple(map(mul, psi._image(unit), weights))
+    graph = [tuple(map(mul, unit, weights)) + tuple(map(mul, psi(unit), weights))
              for unit in units]
     contributing = []
     for entry in entries:
@@ -151,7 +149,7 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
                 raise InternalInconsistency(
                     f"character {entry.character} does not vanish on the graph, "
                     "so it does not descend")
-            contributing.append(Character._of(group, entry.character[rank:]))
+            contributing.append(entry.character[rank:])
 
     p2 = sum(e.dimension for e in entries)
     if p2 != invariants.K2 + invariants.chi:

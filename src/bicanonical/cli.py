@@ -595,8 +595,7 @@ def run_z22(payload, verbose=False):
         "kernel": [covers.z22_element_name(g) for g in kernel],
         "verdict": {"birational": report.verdict.birational,
                     "degree": report.verdict.degree,
-                    "composed_with": [covers.z22_element_name(g) for g in kernel
-                                      if not g.is_zero()]},
+                    "composed_with": [covers.z22_element_name(g) for g in kernel if any(g)]},
     })
     return result
 
@@ -626,7 +625,7 @@ def _build_curve(group, spec, path):
     entries = {}
     for i, item in enumerate(spec["branch"]):
         try:
-            gamma = group.element(item["element"])
+            gamma = group.reduce(item["element"])
             if "points" in item and "degree" in item:
                 raise ScenarioError(
                     "give either points or a degree for a branch divisor, not both")
@@ -669,7 +668,7 @@ def run_product_quotient(payload, verbose=False):
         validation = covers.validate_building_data(data)
         if verbose:
             building_data.append({
-                "branch": [{"element": list(gamma.coords), "degree": degree}
+                "branch": [{"element": list(gamma), "degree": degree}
                            for gamma, degree in data.sorted_entries()],
                 "checks": _checks(validation)})
         validation.require(f"curve {number}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .grouplib import AbelianGroup, GroupElement, Subgroup, common_kernel, order_of
+from .grouplib import AbelianGroup, Subgroup, common_kernel, order_of
 from .piclattice import DivisorClass, Lattice, canonical_class
 
 
@@ -33,7 +33,8 @@ class InvalidCoverData(ValueError):
 
 class InvalidBranchDivisor(InvalidCoverData):
     """A branch divisor that fails a validity condition; `element` is the
-    group element indexing it."""
+    coordinate tuple of the group element indexing it, as the branch data
+    keys it."""
 
     def __init__(self, message: str, element):
         super().__init__(message)
@@ -138,8 +139,9 @@ class ValidationReport:
 class BranchDataP1:
     """Branch data of an abelian cover of P^1.
 
-    entries maps nonzero group elements to branch divisors, given either as a
-    plain degree or as a tuple of distinct point labels; line_bundles holds
+    entries maps nonzero group elements, as tuples of reduced residues (see
+    AbelianGroup.reduce), to branch divisors, given either as a plain degree
+    or as a tuple of distinct point labels; line_bundles holds
     the degrees of L_1..L_n attached to the dual basis characters.  Zero
     divisors may simply be omitted.  The branch elements are also kept as
     weighted coordinates, so a charged degree is a sum of integer dot
@@ -150,20 +152,22 @@ class BranchDataP1:
 
     def __init__(self, group: AbelianGroup, entries, line_bundles=None):
         self.group = group
-        degrees: dict[GroupElement, int] = {}
-        points: dict[GroupElement, tuple[str, ...]] = {}
+        weights, moduli = group.weights, group.moduli
+        degrees: dict[tuple[int, ...], int] = {}
+        points: dict[tuple[int, ...], tuple[str, ...]] = {}
         for gamma, value in entries.items():
-            if not isinstance(gamma, GroupElement) or gamma.group != group:
-                raise InvalidCoverData("branch divisors must be indexed by group elements")
-            if gamma.is_zero():
+            if (type(gamma) is not tuple or len(gamma) != len(moduli)
+                    or not all(type(c) is int and 0 <= c < m for c, m in zip(gamma, moduli))):
+                raise InvalidCoverData("branch divisors must be indexed by group elements, "
+                                       "as tuples of reduced residues")
+            if not any(gamma):
                 raise InvalidBranchDivisor("only nonzero elements carry branch divisors", gamma)
             if isinstance(value, int):
                 deg = value
             else:
                 pts = tuple(value)
                 if len(set(pts)) != len(pts):
-                    raise InvalidBranchDivisor(f"repeated branch point in D_{gamma.coords}",
-                                               gamma)
+                    raise InvalidBranchDivisor(f"repeated branch point in D_{gamma}", gamma)
                 points[gamma] = pts
                 deg = len(pts)
             if deg < 0:
@@ -175,9 +179,8 @@ class BranchDataP1:
         self.line_bundles = None if line_bundles is None else tuple(int(x) for x in line_bundles)
         if self.line_bundles is not None and len(self.line_bundles) != group.rank:
             raise InvalidCoverData("need one line bundle degree per generator")
-        weights, moduli = group.weights, group.moduli
-        self._weighted = [(tuple(map(mul, g.coords, weights)), d) for g, d in degrees.items()]
-        self.inertia = [(g.coords, order_of(g.coords, moduli), d) for g, d in degrees.items()]
+        self._weighted = [(tuple(map(mul, g, weights)), d) for g, d in degrees.items()]
+        self.inertia = [(g, order_of(g, moduli), d) for g, d in degrees.items()]
 
     def total_degree(self) -> int:
         return sum(self.degrees.values())
@@ -199,9 +202,8 @@ class BranchDataP1:
             for p in pts:
                 if p in seen:
                     support_ok = False
-                    support_detail = (f"point {p} appears in D_{seen[p]} and in "
-                                      f"D_{gamma.coords}")
-                seen[p] = gamma.coords
+                    support_detail = f"point {p} appears in D_{seen[p]} and in D_{gamma}"
+                seen[p] = gamma
         checks.append(ValidationCheck("branch supports disjoint", support_ok, support_detail))
         if self.line_bundles is None:
             checks.append(ValidationCheck("line bundles given", False,
@@ -216,8 +218,8 @@ class BranchDataP1:
                     f"2*{self.line_bundles[i]} vs {charged}"))
         return ValidationReport(tuple(checks))
 
-    def sorted_entries(self) -> list[tuple[GroupElement, int]]:
-        return sorted(self.degrees.items(), key=lambda item: item[0].coords)
+    def sorted_entries(self) -> list[tuple[tuple[int, ...], int]]:
+        return sorted(self.degrees.items())
 
 
 def validate_building_data(data) -> ValidationReport:
@@ -343,7 +345,7 @@ def _named_h0(h0, role: str, cls: DivisorClass, inputs: tuple[str, ...]) -> int:
 
 
 def projection_decomposition(total: DivisorClass, bundles, h0) -> list[tuple[str, DivisorClass, int]]:
-    """Character decomposition of the sections of the pullback of
+    """The decomposition by characters of the sections of the pullback of
     `total` = 2K + D along a Z_2 x Z_2 cover: the invariant part h^0(total)
     and one twisted part h^0(total - L_i) per nontrivial character."""
     out = [("1", total, _named_h0(h0, "2K + D", total, ("D",)))]
@@ -379,14 +381,14 @@ def make_verdict(kernel: Subgroup) -> Verdict:
 
 
 _Z22 = AbelianGroup((2, 2))
-# for each nonzero element gamma_i = (1, 0), (0, 1), (1, 1) the unique
-# nontrivial character chi_i orthogonal to it
-Z22_CHIS = (_Z22.character((0, 1)), _Z22.character((1, 0)), _Z22.character((1, 1)))
+# for each nonzero element gamma_i = (1, 0), (0, 1), (1, 1) the coordinates
+# of the unique nontrivial character chi_i orthogonal to it
+Z22_CHIS = ((0, 1), (1, 0), (1, 1))
 
 
-def z22_element_name(g: GroupElement) -> str:
+def z22_element_name(g: tuple[int, int]) -> str:
     names = {(0, 0): "0", (1, 0): "γ₁", (0, 1): "γ₂", (1, 1): "γ₃"}
-    return names[g.coords]
+    return names[g]
 
 
 @dataclass

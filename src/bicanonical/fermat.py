@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import beauville
 from .covers import InternalInconsistency, make_verdict
 from .exactlinalg import in_row_lattice
-from .grouplib import AbelianGroup, Automorphism, Character, Subgroup, common_kernel
+from .grouplib import AbelianGroup, Automorphism, Subgroup, common_kernel
 
 FERMAT_GROUP = AbelianGroup((5, 5))
 FERMAT_DEGREE = 5
@@ -117,8 +117,8 @@ def verify_weight_derivation() -> bool:
                 return False
     p_pairs = [row[0] for row in table]
     q_pairs = [(A - A00, B - B00) for A, B in first]
-    for g in FERMAT_GROUP.elements():
-        u, v = g.coords, psi(g).coords
+    for u in FERMAT_GROUP.elements():
+        v = psi(u)
         a, b = u
         left = {(factor_weight(u, i, j) - a * A - b * B) % 5
                 for (i, j), (A, B) in zip(residues, p_pairs)}
@@ -223,22 +223,21 @@ def builtin_ratio_identities(monomials) -> list[
             ("x1^5/z1^5", x1_5_over_z1_5(), second)]
 
 
-def residual_character(m: BiMonomial) -> Character:
-    """Character by which the residual group G = (G x G)/Gamma scales an
-    invariant monomial.  Under (a, b) -> b - psi(a) the class of g has the
-    representative (0, g), which acts on the second factor alone."""
-    return FERMAT_GROUP.character(
-        [factor_weight(gen.coords, m.alpha, m.beta) for gen in FERMAT_GROUP.generators()])
+def residual_character(m: BiMonomial) -> tuple[int, int]:
+    """Coordinates of the character by which the residual group
+    G = (G x G)/Gamma scales an invariant monomial.  Under (a, b) -> b - psi(a)
+    the class of g has the representative (0, g), which acts on the second
+    factor alone."""
+    return FERMAT_GROUP.reduce(
+        [factor_weight(gen, m.alpha, m.beta) for gen in FERMAT_GROUP.generators()])
 
 
 def residual_kernel(monomials) -> Subgroup:
     """Elements of the residual group acting trivially on every ratio of the
-    given monomials: the common kernel of the difference characters."""
-    ms = list(monomials)
-    if len(ms) <= 1:
-        return Subgroup(FERMAT_GROUP, FERMAT_GROUP.elements())
-    base = residual_character(ms[0])
-    diffs = [residual_character(m) - base for m in ms[1:]]
+    given monomials: the common kernel of the difference characters, which
+    is all of G for fewer than two monomials."""
+    chars = [residual_character(m) for m in monomials]
+    diffs = [FERMAT_GROUP.reduce([c - b for c, b in zip(chi, chars[0])]) for chi in chars[1:]]
     return common_kernel(diffs, FERMAT_GROUP)
 
 

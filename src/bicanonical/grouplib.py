@@ -1,40 +1,28 @@
-"""Finite abelian groups, their characters, automorphisms and subgroups.
+"""Finite abelian groups, their characters, automorphisms and kernels.
 
-Groups are products of cyclic groups Z_n1 x ... x Z_nk, elements are reduced
-residue vectors.  Characters are residue vectors of the (isomorphic) dual
-group; their pairing with elements is kept as an integer exponent modulo the
-group exponent, never as a floating-point root of unity.
+Groups are products of cyclic groups Z_n1 x ... x Z_nk.  An element, and
+a character of the (isomorphic) dual group, is the tuple of its reduced
+residues, one per factor; AbelianGroup.reduce is the one way a raw vector
+becomes such a tuple, and it checks the length first.  The pairing of a
+character chi with an element g is the integer exponent
+sum chi_i g_i weight_i modulo the group exponent, never a floating-point
+root of unity.  There are no element or character objects: orders
+(order_of), images under an automorphism, the pullback of characters and
+the pairings are all computed on the tuples.
 
-The product-quotient path runs on those residue vectors, as plain
-coordinate tuples, from the branch data to the kernel: orders of inertia
-elements (order_of), images under an automorphism (Automorphism._image),
-the pullback of characters and the weighted dot products that pair them
-with elements.  Group objects are built only at its two ends: one element
-per branch entry as the input is parsed, and the few characters whose
-common kernel is the verdict, with the members of the Subgroup it returns.
+A character kills a subgroup iff it kills its members, so an orthogonal
+complement or a common kernel is one scan of the coordinate vectors of the
+group, filtered by the weighted coordinates of what must be killed
+(_annihilated).  The scan finds the whole kernel, so a Subgroup is just
+the group and the member tuples it is given; it computes no closure.  An
+automorphism psi acts on characters by pullback, chi -> chi o psi, written
+down from its matrix (Automorphism.pullback); the characters of G x G
+killing the graph of psi are the pairs (-(chi o psi), chi), so no G x G is
+ever built.
 
-Subgroups are built from generators.  A generator already in the subgroup H
-so far adds nothing; any other adds the cosets H + k*gen for k = 1..r-1,
-where r is the least integer with r*gen in H.  No sum is formed twice, so a
-closure costs at most 2|H| additions plus one membership test per
-generator, instead of the |H| * 2 * (number of generators) additions of
-saturating with +gen and -gen.  A character kills a
-subgroup iff it kills its generators, so an orthogonal complement or a common
-kernel is one scan of the coordinate vectors of the group, filtered by the
-generators' weighted coordinates; group objects are built only for the
-members that survive.  An automorphism psi acts on characters by pullback,
-chi -> chi o psi, written down from its matrix (Automorphism.pullback); the
-characters of G x G killing the graph of psi are the pairs
-(-(chi o psi), chi), so no G x G is ever built.
-
-Elements and characters have one constructor, `_of`, which takes
-coordinates that are already reduced residues: arithmetic results are
-reduced by construction, and AbelianGroup.element and .character reduce
-(and check the length of) what they are given first.  Calling
-GroupElement(...) or Character(...) directly raises TypeError, so no
-unchecked public path exists.  An automorphism checks its bijectivity on
-raw coordinate tuples, growing the image set one generator column at a
-time.  The command line caps the group order at MAX_GROUP_ORDER.
+An automorphism checks its bijectivity on coordinate tuples, growing the
+image set one generator column at a time.  The command line caps the group
+order at MAX_GROUP_ORDER.
 """
 
 from __future__ import annotations
@@ -90,30 +78,22 @@ class AbelianGroup:
         """Every reduced residue vector, in lexicographic order."""
         return itertools.product(*(range(m) for m in self.moduli))
 
-    def _reduce(self, coords) -> tuple[int, ...]:
-        """Residues of a coordinate vector, which must have one entry per factor."""
+    def reduce(self, coords) -> tuple[int, ...]:
+        """The element or character with the given coordinates, as its tuple
+        of reduced residues; there must be one coordinate per factor."""
         if len(coords) != len(self.moduli):
             raise GroupError("coordinate length does not match the group rank")
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
-    def element(self, coords) -> "GroupElement":
-        return GroupElement._of(self, self._reduce(coords))
+    def generators(self) -> list[tuple[int, ...]]:
+        return [tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)]
 
-    def zero(self) -> "GroupElement":
-        return GroupElement._of(self, (0,) * self.rank)
+    def elements(self) -> list[tuple[int, ...]]:
+        return list(self.coordinate_vectors())
 
-    def generators(self) -> list["GroupElement"]:
-        return [self.element([1 if j == i else 0 for j in range(self.rank)])
-                for i in range(self.rank)]
-
-    def elements(self) -> list["GroupElement"]:
-        return [GroupElement._of(self, coords) for coords in self.coordinate_vectors()]
-
-    def character(self, coords) -> "Character":
-        return Character._of(self, self._reduce(coords))
-
-    def characters(self) -> list["Character"]:
-        return [Character._of(self, coords) for coords in self.coordinate_vectors()]
+    # perfbench/tracing.py counts the lists of AbelianGroup.elements and
+    # .characters under these names; a character has the same tuples
+    characters = elements
 
 
 def make_group(moduli) -> AbelianGroup:
@@ -127,70 +107,6 @@ def _add(x: tuple[int, ...], y: tuple[int, ...], moduli: tuple[int, ...]) -> tup
 def order_of(coords: tuple[int, ...], moduli: tuple[int, ...]) -> int:
     """The order of the element with the given reduced coordinates."""
     return lcm(*(m // gcd(c, m) for c, m in zip(coords, moduli)))
-
-
-class _Residues:
-    """Shared residue-vector arithmetic for elements and characters."""
-
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    @classmethod
-    def _of(cls, group: AbelianGroup, coords: tuple[int, ...]):
-        """The only constructor: an instance from coordinates that are
-        already reduced residues of the group (see the module docstring)."""
-        obj = object.__new__(cls)
-        obj.__dict__.update(group=group, coords=coords)
-        return obj
-
-    def _check(self, other):
-        if type(other) is not type(self) or (other.group is not self.group
-                                             and other.group != self.group):
-            raise GroupError("operands live in different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._of(self.group, _add(self.coords, other.coords, self.group.moduli))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._of(self.group, tuple((a - b) % m for a, b, m in
-                                          zip(self.coords, other.coords, self.group.moduli)))
-
-    def __neg__(self):
-        return self._of(self.group, tuple((-a) % m for a, m in
-                                          zip(self.coords, self.group.moduli)))
-
-    def __mul__(self, k: int):
-        return self._of(self.group, tuple((a * k) % m for a, m in
-                                          zip(self.coords, self.group.moduli)))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-@dataclass(frozen=True, init=False)
-class GroupElement(_Residues):
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    def order(self) -> int:
-        return order_of(self.coords, self.group.moduli)
-
-
-@dataclass(frozen=True, init=False)
-class Character(_Residues):
-    group: AbelianGroup
-    coords: tuple[int, ...]
-
-    def pairing(self, g: GroupElement) -> int:
-        """Exponent of the root of unity chi(g), modulo the group exponent."""
-        group = self.group
-        if not isinstance(g, GroupElement) or (g.group is not group and g.group != group):
-            raise GroupError("character paired with an element of another group")
-        return sum(map(mul, map(mul, self.coords, g.coords), group.weights)) % group.exponent
 
 
 @dataclass(frozen=True)
@@ -231,22 +147,19 @@ class Automorphism:
     @classmethod
     def from_images(cls, group: AbelianGroup, images) -> "Automorphism":
         """Build from the list of images of the standard generators."""
-        imgs = [group._reduce(v) for v in images]
+        imgs = [group.reduce(v) for v in images]
         if len(imgs) != group.rank:
             raise GroupError("need exactly one image per generator")
         matrix = tuple(tuple(imgs[j][i] for j in range(group.rank))
                        for i in range(group.rank))
         return cls(group, matrix)
 
-    def _image(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+    def __call__(self, coords: tuple[int, ...]) -> tuple[int, ...]:
         """The reduced coordinates of the image of an element's coordinates."""
+        if len(coords) != len(self.matrix):
+            raise GroupError("element of a different group")
         return tuple(sum(map(mul, row, coords)) % m
                      for row, m in zip(self.matrix, self.group.moduli))
-
-    def __call__(self, g: GroupElement) -> GroupElement:
-        if g.group != self.group:
-            raise GroupError("element of a different group")
-        return GroupElement._of(self.group, self._image(g.coords))
 
     def pullback(self, chi: tuple[int, ...]) -> tuple[int, ...]:
         """The coordinates of chi o psi, for the coordinates of a character
@@ -258,54 +171,20 @@ class Automorphism:
 
 
 class Subgroup:
-    """Subgroup (of a group or of its character group) generated by the
-    given elements or characters; the closure adds, for each generator
-    outside the subgroup so far, the cosets it contributes (see the module
-    docstring)."""
+    """A subgroup of a group or of its character group, held as the
+    coordinate tuples of its members, which it keeps as given: the library
+    builds one only from a whole kernel (see the module docstring)."""
 
-    def __init__(self, group: AbelianGroup, generators=()):
-        generators = list(generators)
-        dual = bool(generators) and isinstance(generators[0], Character)
-        if generators:
-            if any(isinstance(g, Character) != dual for g in generators):
-                raise GroupError("cannot mix elements and characters")
-            if any(g.group != group for g in generators):
-                raise GroupError("generators of a different group")
+    def __init__(self, group: AbelianGroup, members):
         self.group = group
-        self.dual = dual
-        self.generators = tuple(generators)
-        moduli = group.moduli
-        members = [(0,) * len(moduli)]
-        seen = set(members)
-        for gen in generators:
-            step = gen.coords
-            multiples = []          # gen, 2*gen, ..., (r-1)*gen
-            while step not in seen:
-                multiples.append(step)
-                step = _add(step, gen.coords, moduli)
-            if multiples:
-                cosets = [_add(h, k, moduli) for k in multiples for h in members]
-                members += cosets
-                seen.update(cosets)
-        kind = Character if dual else GroupElement
-        self.members = frozenset(kind._of(group, coords) for coords in members)
+        self.members = tuple(members)
 
     @property
     def order(self) -> int:
         return len(self.members)
 
-    def __contains__(self, item) -> bool:
-        return item in self.members
-
-    def elements(self) -> list:
-        return sorted(self.members, key=lambda g: g.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subgroup) and self.group == other.group
-                and self.dual == other.dual and self.members == other.members)
-
-    def __repr__(self):
-        return f"Subgroup(order={self.order}, of={self.group.moduli})"
+    def elements(self) -> list[tuple[int, ...]]:
+        return sorted(self.members)
 
 
 def _annihilated(group: AbelianGroup, vectors) -> list[tuple[int, ...]]:
@@ -313,47 +192,36 @@ def _annihilated(group: AbelianGroup, vectors) -> list[tuple[int, ...]]:
     the exponent for every given coordinate vector v.  The pairing is
     symmetric in c and v, so these are the characters killing the elements
     v, or the elements killed by the characters v."""
-    ex = group.exponent
+    ex, rank = group.exponent, group.rank
     found = list(group.coordinate_vectors())
     for v in set(vectors):
+        if len(v) != rank:
+            raise GroupError("coordinate length does not match the group rank")
         if any(v):
             row = tuple(map(mul, v, group.weights))
             found = [c for c in found if sum(map(mul, c, row)) % ex == 0]
     return found
 
 
+# perfbench/tracing.py wraps orthogonal_complement and common_kernel by name
 def orthogonal_complement(sub: Subgroup) -> Subgroup:
-    """All characters of the ambient group pairing trivially with the
-    subgroup, that is with its generators."""
-    if sub.dual:
-        raise GroupError("orthogonal complement expects a subgroup of elements")
-    group = sub.group
-    chars = [Character._of(group, c)
-             for c in _annihilated(group, [g.coords for g in sub.generators])]
-    return Subgroup(group, chars)
+    return Subgroup(sub.group, _annihilated(sub.group, sub.members))
 
 
 def common_kernel(chars, group: AbelianGroup) -> Subgroup:
     """Intersection of the kernels of the given characters of the group."""
-    chars = list(chars)
-    if any(chi.group != group for chi in chars):
-        raise GroupError("characters of different groups")
-    members = [GroupElement._of(group, c)
-               for c in _annihilated(group, [chi.coords for chi in chars])]
-    return Subgroup(group, members)
+    return Subgroup(group, _annihilated(group, chars))
 
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
 
-def element_name(g: GroupElement) -> str:
+def element_name(g: tuple[int, ...]) -> str:
     """Readable name of an element as a sum of standard generators."""
-    if g.is_zero():
-        return "0"
     parts = []
-    for idx, c in enumerate(g.coords, start=1):
+    for idx, c in enumerate(g, start=1):
         if c == 0:
             continue
         coef = "" if c == 1 else str(c)
         parts.append(f"{coef}γ{str(idx).translate(_SUBSCRIPTS)}")
-    return "+".join(parts)
+    return "+".join(parts) or "0"

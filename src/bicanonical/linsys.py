@@ -59,9 +59,10 @@ MAX_FIXED_COMPONENTS = 100
 # products of three of them after framing, which are not capped), so their
 # size sets the cost of each elimination step.
 MAX_COORDINATE = 2**16
-# a coordinate string is an integer or a fraction p/q; Fraction would also
-# parse exponents ("1e1000") and decimals, whose size nothing else bounds
-_COORDINATE = re.compile(r"-?\d+(/\d+)?")
+# a coordinate string is an integer or a fraction p/q in ASCII digits; int
+# would also read the digits of other scripts, and Fraction exponents
+# ("1e1000") and decimals, whose size nothing else bounds
+_COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _ratio(x) -> tuple[int, int]:

@@ -4,15 +4,16 @@ Each function here recomputes or builds something the library does not
 need for its own outputs: Riemann-Hurwitz over Q (against covers.rh_genus),
 point parsing through Fraction (against the integer parsing of
 linsys.ProjectivePoint), projectivities of a configuration (h^0 is invariant
-under them), the inverse
-of an automorphism, the automorphism check by an exhaustive scan of the
-group (against the growing image set of grouplib.Automorphism), fixed
-points and graph freeness on group objects (against the coordinate tuples
-of beauville.fixed_point_elements and is_free), the 225 Fermat bimonomials,
-the Fermat weight check at all 5^6 residue tuples (against
-fermat.verify_weight_derivation), the dual-basis line bundle degrees of P^1
-branch data, and the Inoue building data.  The library does not import this
-module.
+under them), group addition and the character pairing on coordinate tuples,
+the span of generators by coset closure (against the kernel scan
+grouplib._annihilated), the inverse of an automorphism, the automorphism
+check by an exhaustive scan of the group (against the growing image set of
+grouplib.Automorphism), fixed points and graph freeness by repeated
+addition (against the multiples of beauville.fixed_point_elements and
+is_free), the 225 Fermat bimonomials, the Fermat weight check at all 5^6
+residue tuples (against fermat.verify_weight_derivation), the dual-basis
+line bundle degrees of P^1 branch data, and the Inoue building data.  The
+library does not import this module.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd, lcm
 
 from bicanonical.covers import BranchDataSurface, InvalidCoverData
 from bicanonical.fermat import BiMonomial
-from bicanonical.grouplib import Automorphism, GroupElement
+from bicanonical.grouplib import Automorphism, GroupError
 from bicanonical.linsys import PointConfig, ProjectivePoint
 from bicanonical.piclattice import quadrilateral_catalog
 
@@ -46,7 +47,7 @@ def rh_genus_numeric(cover_degree: int, branch) -> int:
     return (2 - chi_top) // 2
 
 
-_COORDINATE = re.compile(r"-?\d+(/\d+)?")
+_COORDINATE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def to_fraction(x) -> Fraction:
@@ -87,11 +88,54 @@ def apply_projectivity(cfg: PointConfig, matrix) -> PointConfig:
     return PointConfig(new_points, cfg.labels, cfg.incidences)
 
 
+def _same_rank(group, *vectors) -> None:
+    """GroupError unless every vector has one coordinate per factor, so that
+    zip never cuts one short."""
+    if any(len(v) != group.rank for v in vectors):
+        raise GroupError("coordinate length does not match the group rank")
+
+
+def add(group, x, y) -> tuple[int, ...]:
+    """x + y in the group, for coordinate tuples (on tuples + concatenates)."""
+    _same_rank(group, x, y)
+    return tuple((a + b) % m for a, b, m in zip(x, y, group.moduli))
+
+
+def neg(group, x) -> tuple[int, ...]:
+    """-x in the group."""
+    _same_rank(group, x)
+    return tuple(-a % m for a, m in zip(x, group.moduli))
+
+
+def pairing(group, chi, g) -> int:
+    """The exponent of the root of unity chi(g) modulo the group exponent:
+    sum chi_i g_i weight_i, for coordinate tuples of the group."""
+    _same_rank(group, chi, g)
+    return sum(c * x * w for c, x, w in zip(chi, g, group.weights)) % group.exponent
+
+
+def span(group, generators) -> frozenset[tuple[int, ...]]:
+    """The subgroup generated by the given coordinate tuples, by coset
+    closure.  A generator already in the subgroup H so far adds nothing; any
+    other adds the cosets H + k*gen for k = 1..r-1, where r is the least
+    integer with r*gen in H, so no sum is formed twice."""
+    members = [(0,) * group.rank]
+    seen = set(members)
+    for gen in generators:
+        step, multiples = gen, []          # gen, 2*gen, ..., (r-1)*gen
+        while step not in seen:
+            multiples.append(step)
+            step = add(group, step, gen)
+        cosets = [add(group, h, k) for k in multiples for h in members]
+        members += cosets
+        seen.update(cosets)
+    return frozenset(members)
+
+
 def inverse(psi: Automorphism) -> Automorphism:
     """The inverse automorphism, read off the whole group."""
     lookup = {psi(g): g for g in psi.group.elements()}
-    return Automorphism.from_images(
-        psi.group, [lookup[gen].coords for gen in psi.group.generators()])
+    return Automorphism.from_images(psi.group, [lookup[gen] for gen in psi.group.generators()])
 
 
 def automorphism_error(group, matrix) -> str | None:
@@ -112,23 +156,22 @@ def automorphism_error(group, matrix) -> str | None:
     return None
 
 
-def fixed_elements_of(data) -> frozenset[GroupElement]:
-    """The elements with fixed points on a P^1 cover, as group objects: the
-    multiples of each branch element until they reach zero."""
+def fixed_elements_of(data) -> frozenset[tuple[int, ...]]:
+    """The elements with fixed points on a P^1 cover: the multiples of each
+    branch element, by repeated addition, until they reach zero."""
     fixed = set()
     for gamma in data.degrees:
         power = gamma
-        while not power.is_zero():
+        while any(power):
             fixed.add(power)
-            power = power + gamma
+            power = add(data.group, power, gamma)
     return frozenset(fixed)
 
 
-def free_with_witness(psi: Automorphism, fix1, fix2) -> tuple[bool, GroupElement | None]:
-    """Freeness of the graph of psi on group objects: the elements g of fix1
-    with psi(g) in fix2, and the least of them by coordinates."""
-    violations = sorted((g for g in fix1 if psi(g) in fix2 and not g.is_zero()),
-                        key=lambda g: g.coords)
+def free_with_witness(psi: Automorphism, fix1, fix2) -> tuple[bool, tuple[int, ...] | None]:
+    """Freeness of the graph of psi: the nonzero elements g of fix1 with
+    psi(g) in fix2, and the least of them."""
+    violations = sorted(g for g in fix1 if psi(g) in fix2 and any(g))
     return (False, violations[0]) if violations else (True, None)
 
 
@@ -147,8 +190,8 @@ def weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi) -> 
     residues = list(itertools.product(range(5), repeat=2))
     coefficients = [weight_coefficients(i, j, alpha, beta)
                     for i, j in residues for alpha, beta in residues]
-    for g in psi.group.elements():
-        u, v = g.coords, psi(g).coords
+    for u in psi.group.elements():
+        v = psi(u)
         a, b = u
         left = [factor_weight(u, i, j) for i, j in residues]
         right = [factor_weight(v, alpha, beta) for alpha, beta in residues]
@@ -163,11 +206,10 @@ def dual_basis_degrees(group, data) -> tuple[int, ...]:
     half the branch degree charged by the i-th dual basis character)."""
     out = []
     for i in range(group.rank):
-        chi = group.character([1 if j == i else 0 for j in range(group.rank)])
-        s = data.charged_degree(chi.coords)
+        chi = group.generators()[i]
+        s = data.charged_degree(chi)
         if s % 2 != 0:
-            raise InvalidCoverData(
-                f"charged branch degree {s} for character {chi.coords} is odd")
+            raise InvalidCoverData(f"charged branch degree {s} for character {chi} is odd")
         out.append(s // 2)
     return tuple(out)
 

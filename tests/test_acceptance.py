@@ -22,7 +22,7 @@ from bicanonical.grouplib import Automorphism, GroupError, make_group
 from bicanonical.linsys import FatPointSystem, h0_class, h0_fat_points, quadrilateral_config
 from bicanonical.piclattice import quadrilateral_catalog
 from bicanonical.proofcheck import check_corollary, reider_enumeration, run_case_table
-from oracles import apply_projectivity, dual_basis_degrees, inoue_building_data
+from oracles import add, apply_projectivity, dual_basis_degrees, inoue_building_data, pairing
 
 
 def _report(n, text):
@@ -40,7 +40,7 @@ def z23_spec():
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])
     c1 = BranchDataP1(G, {g1: ("P1", "P2"), g2: ("P3", "P4"), g3: ("P5", "P6")},
                       line_bundles=[1, 1, 1])
-    c2 = BranchDataP1(G, {g1: ("Q1",), g2: ("Q2",), g1 + g2: ("Q3",),
+    c2 = BranchDataP1(G, {g1: ("Q1",), g2: ("Q2",), add(G, g1, g2): ("Q3",),
                           g3: ("Q4", "Q5")}, line_bundles=[1, 1, 1])
     return SimpleNamespace(group=G, psi=psi, branch1=c1, branch2=c2)
 
@@ -48,7 +48,7 @@ def z23_spec():
 def z24_spec():
     G = make_group([2, 2, 2, 2])
     gens = G.generators()
-    g0 = gens[0] + gens[1] + gens[2] + gens[3]
+    g0 = (1, 1, 1, 1)
     psi = Automorphism.from_images(G, [(1, 0, 1, 0), (0, 1, 0, 1),
                                        (1, 0, 0, 1), (1, 0, 1, 1)])
 
@@ -104,8 +104,7 @@ def test_criterion_2_quadrilateral_cover():
     assert report.p2 == 8
     assert not report.verdict.birational
     assert report.verdict.degree == 2
-    assert [z22_element_name(g) for g in report.kernel.elements()
-            if not g.is_zero()] == ["γ₁"]
+    assert [z22_element_name(g) for g in report.kernel.elements() if any(g)] == ["γ₁"]
     _report(2, "quadrilateral cover: identities, h0 = 7,1,0,0,0 and 7, "
                "eigentable (7,1,0,0) sum 8, composed with γ₁, degree 2")
 
@@ -120,7 +119,7 @@ def test_criterion_3_z23_product_quotient():
     dims = sorted((e.dimension for e in report.entries if e.dimension), reverse=True)
     assert dims == [6, 1, 1, 1]
     assert report.p2 == 9
-    assert [g.coords for g in report.kernel.elements()] == [(0, 0, 0), (0, 0, 1)]
+    assert report.kernel.elements() == [(0, 0, 0), (0, 0, 1)]
     assert report.verdict.degree == 2
     _report(3, "genus-(5,3) quotient: bidegree (2,1), eigentable {6,1,1,1}, "
                "kernel {0, γ₃}, degree 2")
@@ -168,8 +167,7 @@ def test_criterion_6_reider_enumeration():
 def _fix_parity(group, degrees):
     gens = group.generators()
     for i in range(group.rank):
-        chi = group.character([1 if j == i else 0 for j in range(group.rank)])
-        charged = sum(d for g, d in degrees.items() if chi.pairing(g) != 0)
+        charged = sum(d for g, d in degrees.items() if pairing(group, gens[i], g) != 0)
         if charged % 2:
             degrees[gens[i]] = degrees.get(gens[i], 0) + 1
     return degrees
@@ -182,7 +180,7 @@ def test_criterion_7_property_suites():
     while agreements < 110:
         n = rng.choice([1, 2, 3, 4])
         group = make_group([2] * n)
-        nonzero = [g for g in group.elements() if not g.is_zero()]
+        nonzero = [g for g in group.elements() if any(g)]
         degrees: dict = {}
         for _ in range(rng.randint(0, 8 - n)):
             g = rng.choice(nonzero)
@@ -231,7 +229,7 @@ def test_criterion_7_property_suites():
             for _ in range(80):
                 degs: dict = {}
                 for _ in range(total):
-                    g = rng.choice([x for x in group.elements() if not x.is_zero()])
+                    g = rng.choice([x for x in group.elements() if any(x)])
                     degs[g] = degs.get(g, 0) + 1
                 candidate = BranchDataP1(group, degs)
                 if all(candidate.charged_degree(chi) % 2 == 0

@@ -305,7 +305,7 @@ def _fermat_pq_payload():
     curve = {"branch": [{"element": e, "points": [p]}
                         for e, p in (([1, 0], "P1"), ([0, 1], "P2"), ([4, 4], "P3"))],
              "line_bundles": [1, 1]}
-    images = [list(fermat.fermat_psi()(g).coords) for g in fermat.FERMAT_GROUP.generators()]
+    images = [list(fermat.fermat_psi()(g)) for g in fermat.FERMAT_GROUP.generators()]
     return {"kind": "product-quotient", "group": [5, 5], "automorphism": images,
             "curve1": curve, "curve2": copy.deepcopy(curve)}
 
@@ -331,7 +331,7 @@ def test_product_quotient_rejects_a_group_not_of_exponent_2(tmp_path, capsys, mo
 def test_untransposed_pullback_exits_2(capsys, monkeypatch):
     # a Gamma-perp built with the matrix acting on characters untransposed
     # fails the descent check on the graph generators
-    monkeypatch.setattr(cli.Automorphism, "pullback", cli.Automorphism._image)
+    monkeypatch.setattr(cli.Automorphism, "pullback", cli.Automorphism.__call__)
     code, out = run_cli(capsys, "run", "inoue-z24")
     assert code == 2
     assert out.startswith("error: internal inconsistency: character ")
@@ -755,6 +755,10 @@ _CONTRACT_PAYLOADS = [builtin_payload(name) for name in cli.BUILTIN_ORDER] + [
         {"op": "divisible", "a": {"l": 10, "e1": -2}, "k": 2}]},
 ]
 _ATOMS = ([], {}, "1/0", "0/0", "", "x", None, True, 2.0, 0, -1, 10 ** 12, -10 ** 12, 2 ** 64)
+# and Python values that JSON text cannot spell, which an in-process caller
+# can still pass: they must be input errors too
+_CONTRACT_ATOMS = _ATOMS + (float("nan"), float("inf"), float("-inf"), 10 ** 5000, (1, 0),
+                            (1, 10 ** 5000), frozenset({1}))
 
 
 def _paths(node, path=()):
@@ -805,7 +809,7 @@ def _with_contract_payloads(test):
 
 
 @settings(max_examples=300, deadline=timedelta(seconds=5))
-@given(mutated_payloads())
+@given(mutated_payloads(_CONTRACT_ATOMS))
 @_with_contract_payloads
 def test_every_mutated_payload_reports_or_exits_1_or_2(payload):
     # the benchmark worker streams one JSON record per operation on stdout,
@@ -1007,7 +1011,7 @@ def test_a_valid_payload_never_reaches_the_walker(monkeypatch):
     assert cli.validate_payload(_fermat_pq_payload()) == "product-quotient"
 
 
-@pytest.mark.parametrize("coordinate", ["1e1000", "0.5", " 1/2"])
+@pytest.mark.parametrize("coordinate", ["1e1000", "0.5", " 1/2", "٣", "٣/٤", "１"])
 def test_coordinate_other_than_integer_or_fraction_exits_1_at_once(tmp_path, capsys, coordinate):
     payload = {"kind": "linsys", "points": [[coordinate, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
                "systems": [{"degree": 12, "multiplicities": {"P1": 4, "P2": 4, "P3": 4, "P4": 4}}]}

@@ -18,7 +18,7 @@ from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVec
                                 weight_coefficients, x1_5_over_z1_5, x5_over_z5)
 from bicanonical.grouplib import Automorphism
 from oracles import (all_bimonomials, automorphism_error, fixed_elements_of,
-                     free_with_witness, weight_derivation_at_all_tuples)
+                     free_with_witness, pairing, weight_derivation_at_all_tuples)
 
 
 def weight(a, b, m):
@@ -236,8 +236,8 @@ def test_residual_characters_are_additive():
     for m in invariant_monomials():
         lam = residual_character(m)
         for g in FERMAT_GROUP.elements():
-            direct = factor_weight(g.coords, m.alpha, m.beta)
-            assert lam.pairing(g) == direct
+            direct = factor_weight(g, m.alpha, m.beta)
+            assert pairing(FERMAT_GROUP, lam, g) == direct
 
 
 def test_residual_kernel():
@@ -262,13 +262,14 @@ def test_fixed_elements_and_freeness():
 def test_freeness_on_coordinates_matches_the_object_route_on_the_fermat_data():
     # the quintic as a Z5^2 cover of P^1, branched over three points with
     # inertia <(1,0)>, <(0,1)> and <(1,1)>, has the fixed points fermat_report
-    # uses; every automorphism of Z5^2 then gives the object route's verdict
+    # uses; every automorphism of Z5^2 then gives the oracle route's verdict,
+    # whose fixed elements are multiples by repeated addition
     G = FERMAT_GROUP
-    curve = BranchDataP1(G, {G.element(c): (f"P{i}",) for i, c in
+    curve = BranchDataP1(G, {c: (f"P{i}",) for i, c in
                              enumerate([(1, 0), (0, 1), (4, 4)])}, line_bundles=[1, 1])
-    objects = fixed_elements_of(curve)
+    multiples = fixed_elements_of(curve)
     fixed = fermat_fixed_elements()
-    assert fixed_point_elements(curve) == fixed == {g.coords for g in objects}
+    assert fixed_point_elements(curve) == fixed == multiples
     verdicts = []
     for entries in itertools.product(range(5), repeat=4):
         matrix = (entries[:2], entries[2:])
@@ -276,8 +277,7 @@ def test_freeness_on_coordinates_matches_the_object_route_on_the_fermat_data():
             continue
         psi = Automorphism(G, matrix)
         free, witness = is_free(psi, fixed, fixed)
-        oracle_free, oracle_witness = free_with_witness(psi, objects, objects)
-        assert (free, witness) == (oracle_free, oracle_witness and oracle_witness.coords)
+        assert (free, witness) == free_with_witness(psi, multiples, multiples)
         verdicts.append(free)
     assert len(verdicts) == 480 and 0 < sum(verdicts) < 480
     assert is_free(fermat_psi(), fixed, fixed) == (True, None)

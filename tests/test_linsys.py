@@ -360,6 +360,16 @@ def test_zero_denominator_coordinate_is_a_value_error():
             ProjectivePoint.of(coordinate, 1, 1)
 
 
+@pytest.mark.parametrize("coordinates", [("٣/٤", 1, "１"), ("٣", 1, 1), (1, "1/٢", 1),
+                                         (1, 1, "１２")])
+def test_coordinate_digits_are_ascii(coordinates):
+    # int() reads the digits of every script, so the pattern must not
+    bad = next(c for c in coordinates if isinstance(c, str))
+    with pytest.raises(ValueError, match="is not an integer or a fraction p/q") as err:
+        ProjectivePoint.of(*coordinates)
+    assert str(err.value) == f"point coordinate {bad!r} is not an integer or a fraction p/q"
+
+
 def _outcome(parse, value):
     """What parse(value) returns, or the type and text of what it raises."""
     try:
@@ -368,17 +378,19 @@ def _outcome(parse, value):
         return type(exc), str(exc)
 
 
-# exact coordinates: ints, unreduced p/q strings with leading zeros and
-# digits of any script, Fractions and bools
+# exact coordinates: ints, unreduced p/q strings with leading zeros,
+# Fractions and bools
 _exact_coordinate = st.one_of(
     st.integers(-10 ** 30, 10 ** 30), st.integers(-3, 3),
-    st.from_regex(r"-?0*\d{1,8}(/0*\d{1,6})?", fullmatch=True),
+    st.from_regex(r"-?0*[0-9]{1,8}(/0*[0-9]{1,6})?", fullmatch=True),
     st.sampled_from(["-0", "0/7", "-0/3", "007", "2/4", "-6/0004", "00/01"]),
     st.fractions(), st.booleans())
 # and what must be refused: zero denominators, floats, exponent, decimal and
-# padded strings, strings past the interpreter's digit limit, None
+# padded strings, digits of other scripts, strings past the interpreter's
+# digit limit, None
 _coordinate_input = st.one_of(
     _exact_coordinate, st.floats(), st.none(),
+    st.from_regex(r"-?\d{1,4}(/\d{1,3})?", fullmatch=True).filter(lambda x: not x.isascii()),
     st.sampled_from(["1/0", "0/0", "-5/00", "1e3", "1.5", " 1", "1 ", "+1", "1/-2", "", "/2",
                      "1/", "--1", "1_000", "1" * 4301, "1/" + "2" * 4301, "-" + "9" * 4301]))
 
