@@ -108,6 +108,14 @@ MUTANTS = [
      "            if (type(gamma) is not tuple or len(gamma) != len(moduli)\n                    "
      "or not all(type(c) is int and 0 <= c < m for c, m in zip(gamma, moduli))):",
      "            if type(gamma) is not tuple:"),
+    # a character of the wrong length charged over the branch data, cut short by zip
+    ("src/bicanonical/covers.py",
+     "if len(chi) != self.group.rank:",
+     "if False:"),
+    # a character of the wrong length pulled back, cut short by zip or read past the matrix
+    ("src/bicanonical/grouplib.py",
+     "if len(chi) != len(moduli):",
+     "if False:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -23,7 +23,6 @@ verdict, are all coordinate tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
@@ -76,22 +75,20 @@ def _h0_p1xp1(a: int, b: int) -> int:
     return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0
 
 
-@dataclass
 class EigenEntry:
-    character: tuple[int, ...]  # coordinates of chi1, then of chi2: (chi1, chi2) in Gamma-perp
-    bidegree: tuple[int, int]   # of the product eigensheaf M_chi
-    dimension: int
+    def __init__(self, character: tuple[int, ...], bidegree: tuple[int, int], dimension: int):
+        self.character = character  # chi1's coordinates, then chi2's: (chi1, chi2) in Gamma-perp
+        self.bidegree = bidegree    # of the product eigensheaf M_chi
+        self.dimension = dimension
 
 
-@dataclass
 class BicanonicalReport:
-    genera: tuple[int, int]
-    invariants: CoverInvariants
-    bidegree: tuple[int, int]
-    entries: list[EigenEntry]
-    p2: int
-    kernel: Subgroup           # inside G, identified with (G x G)/Gamma
-    verdict: Verdict
+    def __init__(self, genera: tuple[int, int], invariants: CoverInvariants,
+                 bidegree: tuple[int, int], entries: list[EigenEntry], p2: int,
+                 kernel: Subgroup, verdict: Verdict):
+        self.genera, self.invariants, self.bidegree = genera, invariants, bidegree
+        self.entries, self.p2, self.verdict = entries, p2, verdict
+        self.kernel = kernel  # inside G, identified with (G x G)/Gamma
 
 
 def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
@@ -100,7 +97,7 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
     covers, both of them covers for the group of psi."""
     group = psi.group
     for number, data in enumerate((branch1, branch2), 1):
-        if data.group != group:
+        if data.group.moduli != group.moduli:
             raise InvalidCoverData(f"curve {number} is a cover for the group "
                                    f"{data.group.moduli}, not for {group.moduli}")
         validate_building_data(data).require(f"curve {number}")

@@ -34,11 +34,9 @@ Anything else is a bug and keeps its traceback.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from importlib import resources
 from math import log10, prod
 from pathlib import Path
 
@@ -944,6 +942,8 @@ KINDS = {
 
 
 def builtin_scenario_text(name: str) -> str:
+    from importlib import resources  # imported here, so that import bicanonical.cli stays light
+
     return (resources.files("bicanonical") / "scenarios" / f"{name}.json").read_text("utf-8")
 
 
@@ -986,6 +986,8 @@ def run_scenario(payload: dict, verbose: bool = False):
 
 
 def main(argv=None) -> int:
+    import argparse  # imported here, so that import bicanonical.cli stays light
+
     parser = argparse.ArgumentParser(
         prog="bicanonical",
         description="Exact computations for abelian covers and bicanonical maps "

@@ -19,11 +19,10 @@ table; the two routes are independent and are cross-checked throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .grouplib import AbelianGroup, Subgroup, common_kernel, order_of
+from .grouplib import AbelianGroup, GroupError, Subgroup, common_kernel, order_of
 from .piclattice import DivisorClass, Lattice, canonical_class
 
 
@@ -58,18 +57,18 @@ class InternalInconsistency(RuntimeError):
 Z22_COVER = "Z2 x Z2 cover"  # how validation errors name a surface cover
 
 
-@dataclass(frozen=True)
 class CoverInvariants:
-    K2: int
-    chi: int
-    pg: int
-    q: int
-
-    def __post_init__(self):
-        if self.q != self.pg + 1 - self.chi:
+    def __init__(self, K2: int, chi: int, pg: int, q: int):
+        self.K2, self.chi, self.pg, self.q = K2, chi, pg, q
+        if q != pg + 1 - chi:
             raise InvalidCoverData("q must equal p_g + 1 - chi")
-        if self.pg < 0:
+        if pg < 0:
             raise InvalidCoverData("p_g must be >= 0")
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverInvariants):
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
 
     def is_geometric(self) -> bool:
         """Whether the tuple can belong to a connected surface (q >= 0).
@@ -80,21 +79,15 @@ class CoverInvariants:
         return (self.K2, self.chi, self.pg, self.q)
 
 
-@dataclass(frozen=True)
 class DoubleCoverInput:
     """Numerics of a double cover 2M = D: the base invariants, the two
     intersection numbers of M, and h^0(K_S + M)."""
 
-    label: str
-    chi_base: int
-    pg_base: int
-    K2_base: int
-    M_sq: int
-    M_K: int
-    h0_K_plus_M: int
-
-    def __post_init__(self):
-        if self.h0_K_plus_M < 0:
+    def __init__(self, label: str, chi_base: int, pg_base: int, K2_base: int,
+                 M_sq: int, M_K: int, h0_K_plus_M: int):
+        self.label, self.chi_base, self.pg_base, self.K2_base = label, chi_base, pg_base, K2_base
+        self.M_sq, self.M_K, self.h0_K_plus_M = M_sq, M_K, h0_K_plus_M
+        if h0_K_plus_M < 0:
             raise InvalidCoverData("a section-space dimension cannot be negative")
 
 
@@ -109,16 +102,14 @@ def double_cover_invariants(inp: DoubleCoverInput) -> CoverInvariants:
     return CoverInvariants(K2, chi, pg, pg + 1 - chi)
 
 
-@dataclass(frozen=True)
 class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
 
-@dataclass(frozen=True)
 class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
+    def __init__(self, checks: tuple[ValidationCheck, ...]):
+        self.checks = checks
 
     @property
     def ok(self) -> bool:
@@ -189,6 +180,8 @@ class BranchDataP1:
         """Total branch degree on elements outside ker(chi), for the character
         of this group with coordinates chi: chi(g) is the dot product of chi
         with g's weighted coordinates."""
+        if len(chi) != self.group.rank:
+            raise GroupError("coordinate length does not match the group rank")
         ex = self.group.exponent
         return sum(d for row, d in self._weighted if sum(map(mul, chi, row)) % ex)
 
@@ -355,15 +348,14 @@ def projection_decomposition(total: DivisorClass, bundles, h0) -> list[tuple[str
     return out
 
 
-@dataclass
 class Verdict:
     """Outcome of a bicanonical-degree computation: the subgroup acting
     trivially on the bicanonical sections, and the resulting degree (1 when
     the kernel is trivial; 2 when the kernel is an involution, which is the
     maximum the degree bound allows; undetermined otherwise)."""
 
-    kernel: Subgroup
-    degree: int | None
+    def __init__(self, kernel: Subgroup, degree: int | None):
+        self.kernel, self.degree = kernel, degree
 
     @property
     def birational(self) -> bool:
@@ -391,15 +383,14 @@ def z22_element_name(g: tuple[int, int]) -> str:
     return names[g]
 
 
-@dataclass
 class Z22CoverReport:
-    invariants: CoverInvariants       # of the cover X, before contractions
-    K2_minimal: int | None            # after contracting the lifted (-1)-curves
-    total_class: DivisorClass         # 2K + D, whose pullback is 2K_X
-    eigentable: list[tuple[str, DivisorClass, int]]
-    p2: int
-    kernel: Subgroup
-    verdict: Verdict
+    def __init__(self, invariants: CoverInvariants, K2_minimal: int | None,
+                 total_class: DivisorClass, eigentable: list[tuple[str, DivisorClass, int]],
+                 p2: int, kernel: Subgroup, verdict: Verdict):
+        self.invariants = invariants    # of the cover X, before contractions
+        self.K2_minimal = K2_minimal    # after contracting the lifted (-1)-curves
+        self.total_class = total_class  # 2K + D, whose pullback is 2K_X
+        self.eigentable, self.p2, self.kernel, self.verdict = eigentable, p2, kernel, verdict
 
 
 def z22_bicanonical_report(data: BranchDataSurface, h0) -> Z22CoverReport:

@@ -22,10 +22,9 @@ and kernel are computed in G itself.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import beauville
-from .covers import InternalInconsistency, make_verdict
+from .covers import CoverInvariants, InternalInconsistency, Verdict, make_verdict
 from .exactlinalg import in_row_lattice
 from .grouplib import AbelianGroup, Automorphism, Subgroup, common_kernel
 
@@ -42,20 +41,15 @@ def fermat_psi() -> Automorphism:
 _VARIABLES = ("x", "y", "z", "x1", "y1", "z1")
 
 
-@dataclass(frozen=True)
 class BiMonomial:
     """Exponent data (i, j; alpha, beta) of the bicanonical monomial
     x^i y^j z^(4-i-j) x1^alpha y1^beta z1^(4-alpha-beta)."""
 
-    i: int
-    j: int
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if min(self.i, self.j, self.alpha, self.beta) < 0:
+    def __init__(self, i: int, j: int, alpha: int, beta: int):
+        self.i, self.j, self.alpha, self.beta = i, j, alpha, beta
+        if min(i, j, alpha, beta) < 0:
             raise ValueError("exponents must be nonnegative")
-        if self.i + self.j > 4 or self.alpha + self.beta > 4:
+        if i + j > 4 or alpha + beta > 4:
             raise ValueError("each factor has total degree 4")
 
     def exponents(self) -> tuple[int, int, int, int, int, int]:
@@ -140,17 +134,15 @@ def invariant_monomials() -> list[BiMonomial]:
             if A % 5 == 0 and B % 5 == 0]
 
 
-@dataclass(frozen=True)
 class RatioVector:
     """Exponent vector in Z^6 of a ratio of bidegree-(4,4) monomials; the
     exponents over each factor's variables sum to zero."""
 
-    exponents: tuple[int, int, int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.exponents) != 6:
+    def __init__(self, exponents: tuple[int, int, int, int, int, int]):
+        self.exponents = exponents
+        if len(exponents) != 6:
             raise ValueError("need six exponents")
-        if sum(self.exponents[:3]) != 0 or sum(self.exponents[3:]) != 0:
+        if sum(exponents[:3]) != 0 or sum(exponents[3:]) != 0:
             raise ValueError("a ratio has degree zero on each factor")
 
     @classmethod
@@ -253,16 +245,14 @@ def fermat_fixed_elements() -> frozenset[tuple[int, int]]:
     return frozenset(coords for t in range(1, 5) for coords in ((t, 0), (0, t), (t, t)))
 
 
-@dataclass
 class FermatReport:
-    invariants: object                     # CoverInvariants of the quotient
-    action_free: bool
-    monomials: list[BiMonomial]
-    weight_identity: bool
-    ratio_checks: list[tuple[str, bool]]
-    lattice_memberships: list[tuple[str, bool]]
-    kernel: Subgroup
-    verdict: object                        # covers.Verdict
+    def __init__(self, invariants: CoverInvariants, action_free: bool,
+                 monomials: list[BiMonomial], weight_identity: bool,
+                 ratio_checks: list[tuple[str, bool]],
+                 lattice_memberships: list[tuple[str, bool]], kernel: Subgroup, verdict: Verdict):
+        self.invariants, self.action_free, self.monomials = invariants, action_free, monomials
+        self.weight_identity, self.ratio_checks = weight_identity, ratio_checks
+        self.lattice_memberships, self.kernel, self.verdict = lattice_memberships, kernel, verdict
 
 
 def fermat_report() -> FermatReport:

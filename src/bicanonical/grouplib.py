@@ -28,7 +28,6 @@ order at MAX_GROUP_ORDER.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, mod, mul
@@ -44,15 +43,13 @@ class GroupError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    moduli: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.moduli:
+    def __init__(self, moduli: tuple[int, ...]):
+        self.moduli = moduli
+        if not moduli:
             raise GroupError("a group needs at least one cyclic factor")
-        if any(m < 2 for m in self.moduli):
-            raise GroupError(f"every modulus must be >= 2, got {self.moduli}")
+        if any(m < 2 for m in moduli):
+            raise GroupError(f"every modulus must be >= 2, got {moduli}")
 
     @property
     def rank(self) -> int:
@@ -109,7 +106,6 @@ def order_of(coords: tuple[int, ...], moduli: tuple[int, ...]) -> int:
     return lcm(*(m // gcd(c, m) for c, m in zip(coords, moduli)))
 
 
-@dataclass(frozen=True)
 class Automorphism:
     """Automorphism of an abelian group; matrix columns are the images of the
     standard generators.  On creation the matrix must define a homomorphism
@@ -118,30 +114,29 @@ class Automorphism:
     shifted by k times column j for k = 1..m_j - 1, give those spanned by the
     first j + 1.  That is the set an exhaustive scan of the group would find,
     in at most 2|G| tuple additions for exponent 2 instead of |G| * rank dot
-    products."""
+    products.  perfbench/tracing.py wraps __init__ by name."""
 
-    group: AbelianGroup
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.group.rank
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+    def __init__(self, group: AbelianGroup, matrix: tuple[tuple[int, ...], ...]):
+        self.group = group
+        self.matrix = matrix
+        n = group.rank
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise GroupError("automorphism matrix has the wrong shape")
-        moduli = self.group.moduli
+        moduli = group.moduli
         for i in range(n):
             for j in range(n):
                 # well-definedness: the image of a generator of order m_j must
                 # be killed by m_j
-                if (moduli[j] * self.matrix[i][j]) % moduli[i] != 0:
+                if (moduli[j] * matrix[i][j]) % moduli[i] != 0:
                     raise GroupError("matrix does not define a homomorphism")
         images = {(0,) * n}
         for j, m in enumerate(moduli):
-            column = tuple(row[j] for row in self.matrix)
+            column = tuple(row[j] for row in matrix)
             shifted = images
             for _ in range(m - 1):
                 shifted = {_add(image, column, moduli) for image in shifted}
                 images |= shifted
-        if len(images) != self.group.order:
+        if len(images) != group.order:
             raise GroupError("matrix is not invertible over the group")
 
     @classmethod
@@ -166,6 +161,8 @@ class Automorphism:
         chi.  Coordinate j of e_i o psi is M[i][j] m_j / m_i modulo m_j, an
         integer by the homomorphism check, so the matrix acts transposed."""
         moduli, matrix = self.group.moduli, self.matrix
+        if len(chi) != len(moduli):
+            raise GroupError("coordinate length does not match the group rank")
         return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m
                      for j, m in enumerate(moduli))
 

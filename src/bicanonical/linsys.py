@@ -39,7 +39,6 @@ there are no such rows: h^0 = |alive|, and no matrix is built or ranked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, perm
@@ -86,20 +85,17 @@ def _ratio(x) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
     """A point of P^2.  Any exact triple (ints, Fractions or 'p/q' strings)
     is scaled once to coprime integers, keeping its signs, so coords holds
     the coprime integer triple."""
 
-    coords: tuple[int, int, int]
-
-    def __post_init__(self):
-        values = [_ratio(c) for c in self.coords]
+    def __init__(self, coords):
+        values = [_ratio(c) for c in coords]
         if len(values) != 3 or not any(n for n, _ in values):
             raise ValueError("a projective point needs three coordinates, not all zero")
         denom = lcm(*(d for _, d in values))
-        object.__setattr__(self, "coords", _primitive([n * (denom // d) for n, d in values]))
+        self.coords: tuple[int, int, int] = _primitive([n * (denom // d) for n, d in values])
 
     @classmethod
     def of(cls, x, y, z) -> "ProjectivePoint":
@@ -138,7 +134,6 @@ class ConfigError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
 class PointConfig:
     """Labelled points plus incidence assertions.
 
@@ -147,26 +142,23 @@ class PointConfig:
     the points and of the labels are verified exactly at construction time.
     """
 
-    points: tuple[ProjectivePoint, ...]
-    labels: tuple[str, ...]
-    incidences: tuple[tuple[tuple[int, int], int], ...] = ()
-
-    def __post_init__(self):
-        if len(self.points) != len(self.labels):
+    def __init__(self, points: tuple[ProjectivePoint, ...], labels: tuple[str, ...],
+                 incidences: tuple[tuple[tuple[int, int], int], ...] = ()):
+        self.points, self.labels, self.incidences = points, labels, incidences
+        if len(points) != len(labels):
             raise ConfigError("one label per point, please", "labels")
-        for i, label in enumerate(self.labels):
-            if label in self.labels[:i]:
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
                 raise ConfigError(f"duplicate label {label!r}", f"labels[{i}]")
-        for a in range(len(self.points)):
-            for b in range(a + 1, len(self.points)):
-                if self.points[a].same_point(self.points[b]):
-                    raise ConfigError(f"points {self.labels[a]} and {self.labels[b]} coincide",
-                                      "points")
-        for (i, j), k in self.incidences:
-            if not collinear(self.points[i - 1], self.points[j - 1], self.points[k - 1]):
+        for a in range(len(points)):
+            for b in range(a + 1, len(points)):
+                if points[a].same_point(points[b]):
+                    raise ConfigError(f"points {labels[a]} and {labels[b]} coincide", "points")
+        for (i, j), k in incidences:
+            if not collinear(points[i - 1], points[j - 1], points[k - 1]):
                 raise ValueError(
-                    f"asserted incidence fails: {self.labels[k - 1]} is not on the "
-                    f"line {self.labels[i - 1]}{self.labels[j - 1]}")
+                    f"asserted incidence fails: {labels[k - 1]} is not on the "
+                    f"line {labels[i - 1]}{labels[j - 1]}")
 
     @property
     def n_points(self) -> int:
@@ -180,7 +172,8 @@ class PointConfig:
 def quadrilateral_config() -> PointConfig:
     """The six special points of a complete quadrilateral: vertices P1..P4 and
     the two extra diagonal points P5 = P1P2 ^ P3P4, P6 = P1P4 ^ P2P3.  Built
-    and verified once; the configuration is frozen, so every caller shares it."""
+    and verified once: every caller shares this one instance, so no caller may
+    rebind its attributes."""
     pts = (ProjectivePoint.of(1, 0, 0), ProjectivePoint.of(0, 1, 0),
            ProjectivePoint.of(0, 0, 1), ProjectivePoint.of(1, 1, 1),
            ProjectivePoint.of(1, 1, 0), ProjectivePoint.of(0, 1, 1))
@@ -191,15 +184,12 @@ def quadrilateral_config() -> PointConfig:
     )
 
 
-@dataclass(frozen=True)
 class FatPointSystem:
-    degree: int
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be between 0 and {MAX_DEGREE}, got {self.degree}")
-        if any(m < 0 for m in self.multiplicities):
+    def __init__(self, degree: int, multiplicities: tuple[int, ...]):
+        self.degree, self.multiplicities = degree, multiplicities
+        if not 0 <= degree <= MAX_DEGREE:
+            raise ValueError(f"degree must be between 0 and {MAX_DEGREE}, got {degree}")
+        if any(m < 0 for m in multiplicities):
             raise ValueError("multiplicities must be >= 0")
 
 

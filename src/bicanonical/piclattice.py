@@ -5,14 +5,14 @@ points, with intersection form diag(1, -1, ..., -1) in the basis
 (l, e1, ..., en), and the quadric P1 x P1 with form [[0, 1], [1, 0]] in the
 two rulings.  Classes from different lattices never mix; any attempt is a
 hard error, since silent basis confusion is the main bug class in this kind
-of bookkeeping.  Lattices are frozen, and make_blowup_lattice builds one
-per n, so the classes of one blowup share their lattice object and the
-mixing check is an identity test; equal lattices built apart still mix.
+of bookkeeping.  make_blowup_lattice builds one lattice per n, which every
+caller shares and none may rebind, so the classes of one blowup share their
+lattice object and the mixing check is an identity test; equal lattices
+built apart still mix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import add, mul, sub
 
@@ -23,11 +23,15 @@ class LatticeMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Lattice:
-    labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    kind: str  # "blowup" or "quadric"
+    def __init__(self, labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...], kind: str):
+        self.labels, self.gram = labels, gram
+        self.kind = kind  # "blowup" or "quadric"
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return (self.labels, self.gram, self.kind) == (other.labels, other.gram, other.kind)
 
     @property
     def rank(self) -> int:
@@ -57,7 +61,8 @@ class Lattice:
 @cache
 def make_blowup_lattice(n: int) -> Lattice:
     """Picard lattice of the blowup of P^2 at n points, built once per n:
-    the lattice is frozen, so every caller shares it."""
+    every caller shares this one instance, so no caller may rebind its
+    attributes."""
     if n < 0:
         raise ValueError("cannot blow up a negative number of points")
     labels = ("l",) + tuple(f"e{i}" for i in range(1, n + 1))
@@ -71,14 +76,16 @@ def make_quadric_lattice() -> Lattice:
     return Lattice(("h1", "h2"), ((0, 1), (1, 0)), "quadric")
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    lattice: Lattice
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.lattice.rank:
+    def __init__(self, lattice: Lattice, coeffs: tuple[int, ...]):
+        self.lattice, self.coeffs = lattice, coeffs
+        if len(coeffs) != lattice.rank:
             raise LatticeMismatch("coefficient length does not match the rank")
+
+    def __eq__(self, other):
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.lattice == other.lattice
 
     def _check(self, other: "DivisorClass"):
         if not isinstance(other, DivisorClass):
@@ -112,9 +119,6 @@ class DivisorClass:
 
     def coefficient(self, label: str) -> int:
         return self.coeffs[self.lattice.labels.index(label)]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __str__(self):
         parts = []
@@ -166,20 +170,17 @@ def is_divisible_by(a: DivisorClass, k: int) -> bool:
     return all(c % k == 0 for c in a.coeffs)
 
 
-@dataclass(frozen=True)
 class QuadrilateralCatalog:
     """Named divisor classes on the blowup of P^2 at the six special points of
     a complete quadrilateral: the four side strict transforms S1..S4 (the
     (-2)-curves), the three diagonals Delta1..Delta3, and the three pencils of
     conics f1..f3 through complementary 4-tuples of the points."""
 
-    lattice: Lattice
-    l: DivisorClass
-    e: tuple[DivisorClass, ...]
-    K: DivisorClass
-    S: tuple[DivisorClass, ...]
-    Delta: tuple[DivisorClass, ...]
-    f: tuple[DivisorClass, ...]
+    def __init__(self, lattice: Lattice, l: DivisorClass, e: tuple[DivisorClass, ...],
+                 K: DivisorClass, S: tuple[DivisorClass, ...],
+                 Delta: tuple[DivisorClass, ...], f: tuple[DivisorClass, ...]):
+        self.lattice, self.l, self.e, self.K = lattice, l, e, K
+        self.S, self.Delta, self.f = S, Delta, f
 
     def named(self) -> dict[str, DivisorClass]:
         out = {"l": self.l, "K": self.K}

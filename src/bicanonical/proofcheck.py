@@ -14,8 +14,6 @@ numerics and verifies each contradiction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .covers import (CoverInvariants, DoubleCoverInput, InternalInconsistency,
                      double_cover_invariants)
 from .piclattice import (is_negative_definite, make_blowup_lattice,
@@ -39,12 +37,11 @@ def check_corollary(K2_Y: int, q_Y: int) -> bool:
     return K2_Y >= 16 * (q_Y - 1)
 
 
-@dataclass(frozen=True)
 class CaseRecord:
-    label: str
-    cover: DoubleCoverInput
-    invariants: CoverInvariants
-    bound_holds: bool
+    def __init__(self, label: str, cover: DoubleCoverInput, invariants: CoverInvariants,
+                 bound_holds: bool):
+        self.label, self.cover = label, cover
+        self.invariants, self.bound_holds = invariants, bound_holds
 
     @property
     def contradiction(self) -> bool:
@@ -165,21 +162,16 @@ def reider_enumeration(K2: int) -> set[int]:
     return admissible
 
 
-@dataclass(frozen=True)
 class StrictTransformCase:
-    a: int
-    theta_C: int
-    C_sq: int
-    consistent: bool
+    def __init__(self, a: int, theta_C: int, C_sq: int, consistent: bool):
+        self.a, self.theta_C, self.C_sq, self.consistent = a, theta_C, C_sq, consistent
 
 
-@dataclass(frozen=True)
 class RationalCurveReport:
-    K_L0: int
-    L0_sq: int
-    divisible_by_two: bool
-    cases: tuple[StrictTransformCase, ...]
-    excluded_negative_definite: bool
+    def __init__(self, K_L0: int, L0_sq: int, divisible_by_two: bool,
+                 cases: tuple[StrictTransformCase, ...], excluded_negative_definite: bool):
+        self.K_L0, self.L0_sq, self.divisible_by_two = K_L0, L0_sq, divisible_by_two
+        self.cases, self.excluded_negative_definite = cases, excluded_negative_definite
 
 
 def lemma32_cases() -> RationalCurveReport:

@@ -275,3 +275,10 @@ def test_curves_over_another_group_rejected():
         bicanonical_report(spec.psi, spec.branch1, other)
     with pytest.raises(InvalidCoverData, match="^curve 1 is a cover for the group"):
         bicanonical_report(spec.psi, other, spec.branch2)
+    # an equal group built apart is the same group
+    apart = make_group([2, 2, 2])
+    assert apart is not spec.group
+    twin = BranchDataP1(apart, spec.branch2.points, line_bundles=spec.branch2.line_bundles)
+    report = bicanonical_report(spec.psi, spec.branch1, spec.branch2)
+    twin_report = bicanonical_report(spec.psi, spec.branch1, twin)
+    assert (twin_report.p2, twin_report.kernel.members) == (report.p2, report.kernel.members)

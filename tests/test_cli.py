@@ -827,11 +827,15 @@ def test_every_mutated_payload_reports_or_exits_1_or_2(payload):
 
 
 def test_cli_imports_no_jsonschema():
+    # jsonschema is a test oracle, argparse and importlib.resources load only in
+    # main and builtin_scenario_text, and nothing needs dataclasses or inspect;
+    # -S keeps site hooks from loading any of them first
     src = str(Path(cli.__file__).parents[1])
-    code = "import bicanonical.cli, sys; print('jsonschema' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": src}).stdout
-    assert out == "False\n"
+    unused = ("jsonschema", "dataclasses", "inspect", "argparse", "importlib.resources")
+    code = f"import bicanonical.cli, sys; print([m for m in {unused} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_unsupported_schema_keyword_is_rejected():

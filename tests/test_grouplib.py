@@ -74,6 +74,18 @@ def test_mixing_groups_is_an_error():
         pairing(G, (1, 0), alien)
 
 
+@pytest.mark.parametrize("chi", [(1, 0, 1), (1,), ()])
+def test_characters_of_the_wrong_length_are_rejected(chi):
+    # zip would cut a short or long tuple to the rank, or index past it
+    G = make_group([2, 2])
+    data = BranchDataP1(G, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(ValueError, match="^coordinate length does not match the group rank$"):
+        data.charged_degree(chi)
+    psi = Automorphism.from_images(G, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="^coordinate length does not match the group rank$"):
+        psi.pullback(chi)
+
+
 def test_automorphism_application_examples():
     G = make_group([2, 2, 2])
     psi = Automorphism.from_images(G, [(1, 0, 1), (0, 1, 1), (1, 1, 1)])

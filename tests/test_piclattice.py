@@ -48,6 +48,8 @@ def test_one_blowup_lattice_per_n():
 def test_classes_of_equal_lattices_built_apart_mix():
     first, second = make_quadric_lattice(), make_quadric_lattice()
     assert first is not second and first == second
+    assert (first.zero() == 0) is False
+    assert (first.zero() != (0,) * first.rank) is True
     h1, h2 = first.basis("h1"), second.basis("h2")
     assert (h1 + h2).coeffs == (1, 1)
     assert (h1 - h2).coeffs == (1, -1)
