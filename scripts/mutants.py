@@ -116,6 +116,34 @@ MUTANTS = [
     ("src/bicanonical/grouplib.py",
      "if len(chi) != len(moduli):",
      "if False:"),
+    # a line stripped when its points carry exactly d conditions, not more
+    ("src/bicanonical/linsys.py",
+     "sum(map(mult.__getitem__, line)) > d",
+     "sum(map(mult.__getitem__, line)) >= d"),
+    # a pair inside a longer line kept as a line of its own
+    ("src/bicanonical/linsys.py",
+     "                lines.pop((b, c), None)\n",
+     "                pass\n"),
+    # a stripped line lowering only its first two points
+    ("src/bicanonical/linsys.py",
+     "        for k in line:\n",
+     "        for k in line[:2]:\n"),
+    # ragged rows ranked, cut short by zip
+    ("src/bicanonical/exactlinalg.py",
+     "    if len(set(map(len, work))) > 1:\n        raise ValueError(\"matrix rows have "
+     "different lengths\")\n    work = [row ",
+     "    if False:\n        raise ValueError(\"matrix rows have "
+     "different lengths\")\n    work = [row "),
+    # ragged rows put in echelon form, cut to the first row's length
+    ("src/bicanonical/exactlinalg.py",
+     "    if len(set(map(len, work))) > 1:\n        raise ValueError(\"matrix rows have "
+     "different lengths\")\n    work = [r ",
+     "    if False:\n        raise ValueError(\"matrix rows have "
+     "different lengths\")\n    work = [r "),
+    # interpolation rows built for the shorter of points and multiplicities
+    ("src/bicanonical/linsys.py",
+     "if len(points) != len(system.multiplicities):",
+     "if False:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

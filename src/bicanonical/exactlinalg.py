@@ -19,9 +19,12 @@ def exact_rank(rows) -> int:
     row that is nonzero in the pivot's first nonzero column becomes
     p*row - a*pivot, divided by its gcd (dropped when it is zero).  Rows
     already zero in that column are left alone.  The rank is the number of
-    pivots.
+    pivots.  Rows of different lengths are a ValueError.
     """
-    work = [row for row in rows if any(row)]
+    work = list(rows)
+    if len(set(map(len, work))) > 1:
+        raise ValueError("matrix rows have different lengths")
+    work = [row for row in work if any(row)]
     rank = 0
     while work:
         pivot = work.pop()
@@ -94,9 +97,13 @@ def integer_row_echelon(rows) -> list[list[int]]:
 
     Only unimodular row operations (extended-gcd combinations of row pairs)
     are used, so the returned rows span exactly the same integer lattice.
-    Pivot columns are strictly increasing and pivots are positive.
+    Pivot columns strictly increase, pivots are positive, and rows of
+    different lengths are a ValueError.
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
+    work = [list(map(int, r)) for r in rows]
+    if len(set(map(len, work))) > 1:
+        raise ValueError("matrix rows have different lengths")
+    work = [r for r in work if any(r)]
     if not work:
         return []
     n_cols = len(work[0])

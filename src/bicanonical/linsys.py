@@ -34,13 +34,21 @@ moved points are kept as primitive integer triples, and only the alive
 columns of the other points' rows are built.  When no point outside the
 frame has m > 0 (every condition sits on at most three independent points),
 there are no such rows: h^0 = |alive|, and no matrix is built or ranked.
+
+Before framing, h0_fat_points strips each line L of the configuration whose
+points carry sum(m_k) > d (Bezout): every form of the system vanishes on L,
+so L divides it, and h^0(d; m) = h^0(d - 1; m') with m'_k = max(m_k - 1, 0)
+on L and m'_k = m_k off it, until no line qualifies (h^0 = 0 once d < 0).
+The lines are PointConfig.lines.  No line carries more than sum(m), so the
+search is skipped when sum(m) <= d: that gate only skips work.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
+from itertools import combinations
 from math import gcd, lcm, perm
 
 from .exactlinalg import exact_rank
@@ -160,6 +168,21 @@ class PointConfig:
                     f"asserted incidence fails: {labels[k - 1]} is not on the "
                     f"line {labels[i - 1]}{labels[j - 1]}")
 
+    @cached_property
+    def lines(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal collinear sets of at least two points, as index tuples,
+        computed once: a configuration's points are never rebound."""
+        ints = [p.coords for p in self.points]
+        # a line grows on its first two points and drops the other pairs it covers
+        lines = {pair: pair for pair in combinations(range(len(ints)), 2)}
+        for a, b, c in combinations(range(len(ints)), 3):
+            if not _dot(_cross(ints[a], ints[b]), ints[c]):
+                if (a, b) in lines:
+                    lines[a, b] += (c,)
+                lines.pop((a, c), None)
+                lines.pop((b, c), None)
+        return tuple(lines.values())
+
     @property
     def n_points(self) -> int:
         return len(self.points)
@@ -210,6 +233,8 @@ def interpolation_matrix(points, system: FatPointSystem, monomials) -> list[list
     docstring); a point of multiplicity 0 gives none.
     """
     d = system.degree
+    if len(points) != len(system.multiplicities):
+        raise ValueError("need one multiplicity per point")
     rows = []
     for point, m in zip(points, system.multiplicities):
         if m == 0:
@@ -236,15 +261,27 @@ def _independent(v, basis) -> bool:
 def h0_fat_points(cfg: PointConfig, system: FatPointSystem) -> int:
     """dim of degree-d forms with multiplicity >= m_i at each P_i.
 
-    Up to three independent points, heaviest first, are moved to the
-    coordinate vertices (the frame); only the monomials their conditions
-    leave alive and the conditions of the other points are eliminated (see
-    the module docstring).
+    The lines the system meets negatively are stripped, then up to three
+    independent points, heaviest first, are moved to the coordinate vertices
+    (the frame); only the monomials their conditions leave alive and the
+    conditions of the other points are eliminated (see the module docstring).
     """
-    mult = system.multiplicities
+    mult = list(system.multiplicities)
     if len(mult) != cfg.n_points:
         raise ValueError("need one multiplicity per configured point")
     d = system.degree
+    # strip each line the system meets negatively (Bezout, module docstring)
+    while sum(mult) > d:
+        for line in cfg.lines:
+            if sum(map(mult.__getitem__, line)) > d:
+                break
+        else:  # no line qualifies
+            break
+        d -= 1
+        if d < 0:
+            return 0
+        for k in line:
+            mult[k] = max(mult[k] - 1, 0)
     ints = [p.coords for p in cfg.points]
     frame: list[int] = []
     for i in sorted(range(len(mult)), key=lambda i: -mult[i]):
@@ -289,6 +326,7 @@ def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None
     Negative multiplicities (a summand +e_i) are removed one copy at a time
     as fixed components; each removal is legitimate because the class meets
     e_i negatively at that step, and is recorded in `trace` when given.
+    The notes list only these curves, not the lines h0_fat_points strips.
     """
     if cls.lattice.kind != "blowup" or cls.lattice.rank != cfg.n_points + 1:
         raise ValueError("class does not live on the blowup at the configured points")

@@ -74,6 +74,18 @@ def test_rank_degenerate():
     assert exact_rank([]) == 0
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[0, 3]]) == 1
+    # rows given as an iterator are read once
+    assert exact_rank(iter([[0, 3], [1, 1]])) == 2
+    assert integer_row_echelon(iter([[2, 0], [3, 0]])) == [[1, 0]]
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [1, 2]], [[1, 2], [0, 0, 0]], [[0], [0, 0]]])
+def test_ragged_rows_are_a_value_error(rows):
+    # zip would cut every row to the shortest and rank the truncation
+    with pytest.raises(ValueError, match="rows have different lengths"):
+        exact_rank(rows)
+    with pytest.raises(ValueError, match="rows have different lengths"):
+        integer_row_echelon(rows)
 
 
 def test_leading_principal_minors():

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, perm
 from unittest.mock import patch
 
@@ -8,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bicanonical.exactlinalg import exact_rank
-from bicanonical import linsys
+from bicanonical import cli, linsys
 from bicanonical.linsys import (ConfigError, FatPointSystem, PointConfig, ProjectivePoint, _ratio,
                                 collinear, h0_class, h0_fat_points, interpolation_matrix,
                                 quadrilateral_config)
@@ -37,6 +39,17 @@ def test_quadrilateral_incidences(cfg):
     assert on_a_line(1, 4, 6)
     assert on_a_line(2, 3, 6)
     assert not on_a_line(1, 2, 3)
+
+
+def test_quadrilateral_lines(cfg):
+    # a second route to the configuration: the lines through three points
+    # are exactly the four asserted incidences, and the other three lines
+    # are the diagonals P1P3, P2P4 and P5P6
+    asserted = {tuple(sorted((i - 1, j - 1, k - 1))) for (i, j), k in cfg.incidences}
+    assert {line for line in cfg.lines if len(line) >= 3} == asserted
+    assert {line for line in cfg.lines if len(line) == 2} == {(0, 2), (1, 3), (4, 5)}
+    assert len(cfg.lines) == 7
+    assert quadrilateral_config().lines is cfg.lines
 
 
 def test_quadrilateral_config_is_built_once(cfg, lat):
@@ -298,6 +311,16 @@ def _framed_case(coords, d, mult):
 @example(_framed_case([(1, 2, 0), (0, 1, 1)], 3, (6, 1)))
 # a single point: a frame-only system
 @example(_framed_case([(2, -1, 3)], 3, (2,)))
+# a 3-point line whose third point has m > 0, stripped twice
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 3)], 4, (3, 2, 2, 1)))
+# a point with m = 0 on a stripped line
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3, (3, 2, 0, 1)))
+# a line through two points whose sum equals the degree is not stripped
+@example(_framed_case([(1, 0, 0), (0, 1, 0)], 2, (1, 1)))
+# strips repeated until d < 0
+@example(_framed_case([(1, 0, 0), (0, 1, 0)], 2, (5, 5)))
+# the inoue7 system: the four sides of the quadrilateral are stripped
+@example((quadrilateral_config(), FatPointSystem(9, (3, 4, 3, 4, 4, 4))))
 @settings(max_examples=80, deadline=None)
 def test_h0_matches_the_full_fraction_matrix(case):
     cfg, system = case
@@ -504,6 +527,14 @@ def framed_cases(draw):
 # m >= d + 1 at one point, fewer than three points with m > 0
 @example(_framed_case([(1, 2, 0), (3, 0, Fraction(1, 7)), (1, 1, 1), (2, 3, 5)],
                       3, (4, 1, 0, 0)))
+# a 3-point line whose third point has m > 0, stripped twice
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 3)], 4, (3, 2, 2, 1)))
+# a point with m = 0 on a stripped line
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 3, (3, 2, 0, 1)))
+# strips repeated until d < 0
+@example(_framed_case([(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 3, 5)], 2, (5, 5, 0, 0)))
+# the inoue7 system: the four sides of the quadrilateral are stripped
+@example((quadrilateral_config(), FatPointSystem(9, (3, 4, 3, 4, 4, 4))))
 @settings(max_examples=120, deadline=None)
 def test_frame_matches_the_unframed_route(case):
     cfg, system = case
@@ -547,3 +578,40 @@ def test_a_frame_only_system_builds_no_matrix(case):
             patch.object(linsys, "exact_rank", _refuse):
         value = h0_fat_points(cfg, system)
     assert value == unframed_h0(cfg, system)
+
+
+def test_interpolation_points_and_multiplicities_have_one_length():
+    # zip would build rows for the shorter side only
+    monomials = all_monomials(2)
+    with pytest.raises(ValueError, match="one multiplicity per point"):
+        interpolation_matrix([(1, 0, 0)], FatPointSystem(2, (1, 1)), monomials)
+    with pytest.raises(ValueError, match="one multiplicity per point"):
+        interpolation_matrix([(1, 0, 0), (0, 1, 0)], FatPointSystem(2, (1,)), monomials)
+
+
+def test_inoue7_builds_one_small_matrix():
+    """The lines of the quadrilateral are stripped before framing, so the
+    whole inoue7 eigentable ranks one matrix of at most 5 rows."""
+    shapes = []
+
+    def spy(points, system, monomials):
+        rows = interpolation_matrix(points, system, monomials)
+        shapes.append((len(rows), len(monomials)))
+        return rows
+
+    payload = json.loads(cli.builtin_scenario_text("inoue7"))
+    with patch.object(linsys, "interpolation_matrix", spy):
+        cli.run_scenario(payload)
+    assert len(shapes) <= 1 and all(rows <= 5 for rows, _ in shapes)
+
+
+@given(framed_cases())
+@settings(max_examples=100, deadline=None)
+def test_lines_are_maximal_and_cover_each_pair_once(case):
+    cfg, _ = case
+    pts = cfg.points
+    pairs = sorted(pair for line in cfg.lines for pair in combinations(line, 2))
+    assert pairs == list(combinations(range(cfg.n_points), 2))
+    for line in cfg.lines:
+        a, b = line[:2]
+        assert line == tuple(k for k in range(cfg.n_points) if collinear(pts[a], pts[b], pts[k]))
