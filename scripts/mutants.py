@@ -144,6 +144,22 @@ MUTANTS = [
     ("src/bicanonical/linsys.py",
      "if len(points) != len(system.multiplicities):",
      "if False:"),
+    # the rank mod p returned as the rank even when it falls short of full
+    ("src/bicanonical/exactlinalg.py",
+     "    if rank == full:\n        return rank\n",
+     "    if True:\n        return rank\n"),
+    # the modular elimination never updates a row below the pivot
+    ("src/bicanonical/exactlinalg.py",
+     "[(p * u - c * v) % P for u, v in zip(row[1:], pivot)] if (c := row[0]) else row[1:]",
+     "row[1:]"),
+    # incidence label 0 accepted, so it reads the last point
+    ("src/bicanonical/linsys.py",
+     "if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):",
+     "if not (0 <= i <= n and 0 <= j <= n and 0 <= k <= n):"),
+    # a linsys payload with any number of systems
+    ("src/bicanonical/cli.py",
+     '"systems": {"type": "array", "minItems": 1, "maxItems": 32, ',
+     '"systems": {"type": "array", "minItems": 1, '),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

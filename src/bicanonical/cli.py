@@ -451,7 +451,8 @@ _KIND_FIELDS = {
         "points": {"type": "array", "minItems": 1, "maxItems": 10, "items": {
             "type": "array", "items": {"oneOf": [_INT, _STRING]}, "minItems": 3, "maxItems": 3}},
         "labels": {"type": "array", "items": _STRING},
-        "systems": {"type": "array", "minItems": 1, "items": _closed(
+        # each system may rank a matrix of thousands of entries of hundreds of bits
+        "systems": {"type": "array", "minItems": 1, "maxItems": 32, "items": _closed(
             {"degree": _NATURAL,
              "multiplicities": {"type": "object", "additionalProperties": _NATURAL},
              "class": _COEFF_MAP},

@@ -135,7 +135,7 @@ def collinear(p: ProjectivePoint, q: ProjectivePoint, r: ProjectivePoint) -> boo
 
 class ConfigError(ValueError):
     """An invalid PointConfig; `field` names the offending field: "points",
-    "labels" or "labels[i]" (0-based)."""
+    "labels", "labels[i]" (0-based) or "incidences"."""
 
     def __init__(self, message: str, field: str):
         super().__init__(message)
@@ -146,8 +146,9 @@ class PointConfig:
     """Labelled points plus incidence assertions.
 
     Each incidence ((i, j), k) asserts that point k lies on the line through
-    points i and j (1-based labels); all assertions, pairwise distinctness of
-    the points and of the labels are verified exactly at construction time.
+    points i and j (1-based labels, each in 1..n); all assertions, pairwise
+    distinctness of the points and of the labels are verified exactly at
+    construction time.
     """
 
     def __init__(self, points: tuple[ProjectivePoint, ...], labels: tuple[str, ...],
@@ -162,7 +163,12 @@ class PointConfig:
             for b in range(a + 1, len(points)):
                 if points[a].same_point(points[b]):
                     raise ConfigError(f"points {labels[a]} and {labels[b]} coincide", "points")
+        n = len(points)
         for (i, j), k in incidences:
+            # a label of 0 or below would silently read points[-1] or earlier
+            if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
+                raise ConfigError(f"incidence (({i}, {j}), {k}) has a label outside 1..{n}",
+                                  "incidences")
             if not collinear(points[i - 1], points[j - 1], points[k - 1]):
                 raise ValueError(
                     f"asserted incidence fails: {labels[k - 1]} is not on the "

@@ -685,6 +685,19 @@ def test_linsys_system_errors_name_their_path(tmp_path, capsys):
                               "degree must be between 0 and 12, got 13\n")
 
 
+@pytest.mark.parametrize("count", [32, 33])
+def test_linsys_systems_are_capped(tmp_path, capsys, count):
+    system = {"degree": 2, "multiplicities": {"P1": 1}}
+    payload = {"kind": "linsys", "systems": [system] * count}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    if count == 32:
+        assert (code, out.count("h⁰(degree 2 with multiplicities 1,0,0,0,0,0) = 5")) == (0, 32)
+    else:
+        assert code == 1
+        assert out.startswith("error: $.systems: [{'degree': 2, ")
+        assert out.endswith("}] is too long\n")
+
+
 @pytest.mark.parametrize("point, accepted", [
     ([65536, 1, 0], True), (["1/65536", 1, 1], True), ([131072, 2, 0], True),
     ([65537, 1, 0], False), (["1/65537", 1, 1], False), ([131074, 2, 0], False),

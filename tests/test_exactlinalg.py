@@ -1,12 +1,15 @@
 from fractions import Fraction
 from itertools import permutations
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical.exactlinalg import (exact_rank, in_row_lattice, integer_det,
-                                     integer_row_echelon, leading_principal_minors)
+from bicanonical import exactlinalg
+from bicanonical.exactlinalg import (RANK_PRIME, _integer_rank, _rank_mod_p, exact_rank,
+                                     in_row_lattice, integer_det, integer_row_echelon,
+                                     leading_principal_minors)
 
 
 def gauss_rank(rows):
@@ -49,7 +52,8 @@ def permutation_det(matrix):
     return total
 
 
-_entry = st.one_of(st.integers(-6, 6), st.integers(-10 ** 12, 10 ** 12))
+_entry = st.one_of(st.integers(-6, 6), st.integers(-10 ** 12, 10 ** 12),
+                   st.integers(-2 ** 250, 2 ** 250))
 matrix_strategy = st.integers(1, 6).flatmap(
     lambda cols: st.lists(
         st.one_of(st.lists(_entry, min_size=cols, max_size=cols), st.just([0] * cols)),
@@ -59,7 +63,64 @@ matrix_strategy = st.integers(1, 6).flatmap(
 @given(matrix_strategy)
 @settings(max_examples=150)
 def test_rank_matches_fraction_gauss(rows):
-    assert exact_rank(rows) == gauss_rank(rows)
+    assert exact_rank(rows) == _integer_rank(rows) == gauss_rank(rows)
+
+
+P = RANK_PRIME
+
+
+def _matmul(b, c):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in b]
+
+
+@st.composite
+def low_rank_products(draw):
+    """B*C with B of shape rows x k and C of shape k x cols, k < min(rows, cols),
+    entries small or up to 2^450 (the size framed rows at the coordinate
+    cap reach)."""
+    rows, cols = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    k = draw(st.integers(0, min(rows, cols) - 1))
+    bits = draw(st.sampled_from((3, 40, 250, 450)))
+    entry = st.integers(-2 ** bits, 2 ** bits)
+    b = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    c = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    return _matmul(b, c) if k else [[0] * cols for _ in range(rows)]
+
+
+@st.composite
+def singular_mod_p(draw):
+    """L + P*N with L of rank below min(rows, cols): the rank mod P is at most
+    that of L, while over Q the matrix usually has full rank, so exact_rank
+    must fall back to integer elimination."""
+    low = draw(low_rank_products())
+    noise = st.integers(-2 ** 40, 2 ** 40)
+    return [[u + P * draw(noise) for u in row] for row in low]
+
+
+@given(st.one_of(low_rank_products(), singular_mod_p()))
+@example([[2 * P, -P, 3 * P], [1, 2, 3], [-4, 5, 6]])
+@example([[0, 1 + P, 1], [0, 1, 1 + P]])
+@settings(max_examples=150, deadline=None)
+def test_both_rank_routes_match_fraction_gauss(rows):
+    assert exact_rank(rows) == _integer_rank(rows) == gauss_rank(rows)
+
+
+def test_full_rank_over_q_but_singular_mod_p_falls_back():
+    # rank 2 over Q, rank 1 mod P: the certificate fails and elimination decides
+    for rows in ([[1, 1], [1, 1 + P]], [[P, 0], [0, 1]], [[3 * P, 6 * P], [1, 5]]):
+        assert _rank_mod_p(rows) == 1
+        assert exact_rank(rows) == 2
+
+
+def _refuse(rows):
+    raise AssertionError("a matrix of full rank mod P reached integer elimination")
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4], [5, 6]], [[7, 0, 0, 1]], [[0, 0], [0, 5]],
+                                  [[2 ** 300, 1], [1, 2 ** 300]]])
+def test_full_rank_mod_p_is_certified_without_elimination(rows):
+    with patch.object(exactlinalg, "_integer_rank", _refuse):
+        assert exact_rank(rows) == gauss_rank(rows)
 
 
 @given(st.integers(1, 4).flatmap(

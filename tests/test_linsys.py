@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, perm
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical.exactlinalg import exact_rank
-from bicanonical import cli, linsys
+from bicanonical.exactlinalg import _integer_rank, exact_rank
+from bicanonical import cli, exactlinalg, linsys
 from bicanonical.linsys import (ConfigError, FatPointSystem, PointConfig, ProjectivePoint, _ratio,
                                 collinear, h0_class, h0_fat_points, interpolation_matrix,
                                 quadrilateral_config)
-from bicanonical.linsys import MAX_DEGREE, MAX_FIXED_COMPONENTS
+from bicanonical.linsys import MAX_COORDINATE, MAX_DEGREE, MAX_FIXED_COMPONENTS
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
 from oracles import apply_projectivity, fraction_point, to_fraction
 
@@ -64,6 +65,17 @@ def test_incidence_assertions_are_verified():
            ProjectivePoint.of(0, 0, 1))
     with pytest.raises(ValueError):
         PointConfig(pts, ("A", "B", "C"), incidences=(((1, 2), 3),))
+
+
+@pytest.mark.parametrize("incidence", [((0, 1), 2), ((1, 2), 7), ((-1, 2), 3), ((1, 2), 4)])
+def test_incidence_labels_are_range_checked(incidence):
+    # collinear points, so a label 0 read as points[-1] would pass the check
+    pts = (ProjectivePoint.of(1, 0, 0), ProjectivePoint.of(0, 1, 0),
+           ProjectivePoint.of(1, 1, 0))
+    with pytest.raises(ConfigError, match=r"has a label outside 1\.\.3") as err:
+        PointConfig(pts, ("A", "B", "C"), incidences=(incidence,))
+    assert err.value.field == "incidences"
+    assert PointConfig(pts, ("A", "B", "C"), incidences=(((1, 2), 3),)).incidences
 
 
 def test_coincident_points_rejected():
@@ -615,3 +627,61 @@ def test_lines_are_maximal_and_cover_each_pair_once(case):
     for line in cfg.lines:
         a, b = line[:2]
         assert line == tuple(k for k in range(cfg.n_points) if collinear(pts[a], pts[b], pts[k]))
+
+
+def _capped_payload(points):
+    """Degree 12, the degree cap, with multiplicity 4 at every point."""
+    return {"kind": "linsys", "points": points,
+            "systems": [{"degree": 12,
+                         "multiplicities": {f"P{i}": 4 for i in range(1, len(points) + 1)}}]}
+
+
+def test_a_capped_system_runs_within_its_budget():
+    """Ten random points with coordinates at the cap, d = 12, every m = 4:
+    one 70 x 61 matrix of entries up to about 2^450, of full rank mod p.  It
+    runs in under 0.5 s (best of 3), and the integer route, which takes
+    seconds on it, gives the same h0."""
+    rng = random.Random(1)
+    points = [[rng.randint(-MAX_COORDINATE, MAX_COORDINATE) for _ in range(3)]
+              for _ in range(10)]
+    built = []
+
+    def spy(points, system, monomials):
+        rows = interpolation_matrix(points, system, monomials)
+        built.append((rows, len(monomials)))
+        return rows
+
+    times = []
+    with patch.object(linsys, "interpolation_matrix", spy):
+        for _ in range(3):
+            start = time.perf_counter()
+            result, _ = cli.run_scenario(_capped_payload(points))
+            times.append(time.perf_counter() - start)
+    rows, n_alive = built[0]
+    assert (len(rows), n_alive) == (70, 61)
+    assert min(times) < 0.5
+    assert result["systems"][0]["h0"] == n_alive - _integer_rank(rows)
+
+
+def test_a_rank_deficient_capped_system_falls_back():
+    """Ten points (t^2, ts, s^2) of the conic y^2 = xz, coordinates near the
+    cap, d = 12, every m = 4.  The conic C meets the system in 24 < 40, so it
+    is a component; so again at d = 10, m = 3 (20 < 30) and at d = 8, m = 2
+    (16 < 20).  The sextics through the ten points are then C times the
+    15 quartics plus a 13 - 10 = 3 dimensional restriction to C = P^1, so
+    h0 = 18.  The framed matrix is rank-deficient, so its rank is not full
+    mod p either, and integer elimination decides it."""
+    params = [(-119, 33), (5, 61), (251, 231), (227, 195), (143, 222),
+              (-254, 229), (-152, 163), (134, 111), (176, 15), (-29, 225)]
+    points = [[t * t, t * s, s * s] for t, s in params]
+    assert max(abs(c) for p in points for c in p) <= MAX_COORDINATE
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return _integer_rank(rows)
+
+    with patch.object(exactlinalg, "_integer_rank", spy):
+        result, _ = cli.run_scenario(_capped_payload(points))
+    assert result["systems"][0]["h0"] == 18
+    assert calls == [70]
