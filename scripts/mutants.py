@@ -156,6 +156,18 @@ MUTANTS = [
     ("src/bicanonical/linsys.py",
      "if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):",
      "if not (0 <= i <= n and 0 <= j <= n and 0 <= k <= n):"),
+    # the charged-degree table charging the kernel of each character instead of the rest
+    ("src/bicanonical/covers.py",
+     "table = [t + d if v % ex else t for t, v in zip(table, values)]",
+     "table = [t + d if not v % ex else t for t, v in zip(table, values)]"),
+    # the charged-degree table grown first coordinate first, so out of coordinate order
+    ("src/bicanonical/covers.py",
+     "for s, m in zip(reversed(row), reversed(moduli)):",
+     "for s, m in zip(row, moduli):"),
+    # Gamma-perp grown from chi o psi instead of -(chi o psi): equal only in exponent 2
+    ("src/bicanonical/beauville.py",
+     "step = tuple(-c % n for c, n in zip(psi.pullback(unit), moduli))",
+     "step = tuple(c % n for c, n in zip(psi.pullback(unit), moduli))"),
     # a linsys payload with any number of systems
     ("src/bicanonical/cli.py",
      '"systems": {"type": "array", "minItems": 1, "maxItems": 32, ',

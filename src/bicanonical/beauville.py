@@ -14,7 +14,11 @@ Everything is computed in G itself, on coordinate tuples.  Gamma-perp is
 through (a, b) -> b - psi(a), under which (chi1, chi2) in Gamma-perp
 descends to chi2: its value on the representative (0, g).  The pullback is
 linear, so Automorphism.pullback runs once per report, on the unit
-characters, and every chi o psi is a sum of those rows.  The descent is
+characters, and the first factors -(chi o psi) are grown from those rows
+one coordinate at a time, in the order of the characters chi
+(minus_pullbacks), with no dot product per character.  Each curve's
+eigensheaf degrees come from its table of charged degrees, computed once per
+curve (BranchDataP1.charged_degrees).  The descent is
 checked directly on the graph generators (g, psi(g)), a second route to
 Gamma-perp, as weighted dot products.  The fixed points of the two curves,
 the freeness test, the contributing characters and their common kernel, the
@@ -23,7 +27,7 @@ verdict, are all coordinate tuples.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mod, mul
 
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      InvalidCoverData, Verdict, eigensheaf_degrees, genus_from_degrees,
@@ -91,6 +95,25 @@ class BicanonicalReport:
         self.kernel = kernel  # inside G, identified with (G x G)/Gamma
 
 
+def minus_pullbacks(psi: Automorphism) -> list[tuple[int, ...]]:
+    """-(chi o psi) for every character chi of the group of psi, in the order
+    of coordinate_vectors(): the first factors of Gamma-perp.  The map is
+    linear, so the list is grown from the pullbacks of the unit characters,
+    the last coordinate first, as Automorphism grows its image set: the
+    characters with chi_i = c are those with chi_i = 0 shifted by c times
+    the negated pullback of the unit character e_i, and are appended after
+    them."""
+    moduli = psi.group.moduli
+    grown = [(0,) * len(moduli)]
+    for unit, m in zip(reversed(psi.group.generators()), reversed(moduli)):
+        step = tuple(-c % n for c, n in zip(psi.pullback(unit), moduli))
+        shifted = grown
+        for _ in range(m - 1):
+            shifted = [tuple(map(mod, map(add, x, step), moduli)) for x in shifted]
+            grown = grown + shifted
+    return grown
+
+
 def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
                        branch2: BranchDataP1) -> BicanonicalReport:
     """The bicanonical eigentable and verdict of the quotient of the two
@@ -117,17 +140,13 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
             raise InternalInconsistency("eigensheaf table disagrees with Riemann-Hurwitz")
 
     # Gamma-perp comes straight from psi: (-(chi2 o psi), chi2) for every
-    # character chi2 of G, in the order of the pair coordinates; chi2 o psi
-    # is the sum of the pullbacks of the unit characters, weighted by chi2
-    moduli, rank = group.moduli, group.rank
-    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    columns = list(zip(*map(psi.pullback, units)))
+    # character chi2 of G.  minus_pullbacks lists the first factors in the
+    # order of coordinate_vectors(), which is the key order of table2
     entries = []
-    for chi2 in group.coordinate_vectors():
-        chi1 = tuple(-sum(map(mul, chi2, column)) % m for column, m in zip(columns, moduli))
-        d = (table1[chi1], table2[chi2])
-        dim = _h0_p1xp1(bidegree[0] - d[0], bidegree[1] - d[1])
-        entries.append(EigenEntry(chi1 + chi2, d, dim))
+    for (chi2, d2), chi1 in zip(table2.items(), minus_pullbacks(psi)):
+        d1 = table1[chi1]
+        dim = _h0_p1xp1(bidegree[0] - d1, bidegree[1] - d2)
+        entries.append(EigenEntry(chi1 + chi2, (d1, d2), dim))
     entries.sort(key=lambda e: e.character)
 
     # each contributing pair must kill the graph generators (g, psi(g)); it
@@ -136,9 +155,9 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
     # row is joined from two rank-sized tuples: CPython frees a tuple(map(...))
     # of length 2 * rank to a free list that only the chi1 + chi2 joins above
     # draw from, which then grows by rank tuples per report up to its cap.
-    weights, ex = group.weights, group.exponent
+    weights, ex, rank = group.weights, group.exponent, group.rank
     graph = [tuple(map(mul, unit, weights)) + tuple(map(mul, psi(unit), weights))
-             for unit in units]
+             for unit in group.generators()]
     contributing = []
     for entry in entries:
         if entry.dimension > 0:

@@ -12,9 +12,14 @@ D_gamma (one per nonzero gamma) the character eigensheaf has degree
     deg L_chi = (1/2) * sum of deg D_gamma over gamma outside ker chi,
 
 which specialises on the dual basis characters to the defining relations
-2 L_i = sum eps_i(gamma) D_gamma of the building data.  The genus of the
-cover curve then comes out of either Riemann-Hurwitz or the eigensheaf
-table; the two routes are independent and are cross-checked throughout.
+2 L_i = sum eps_i(gamma) D_gamma of the building data.  The building-data
+check charges only those rank characters; the eigensheaf table needs all
+|G| of them, so each curve computes its charged degrees once, in one table
+grown coordinate by coordinate from the pairing values of each branch
+element (BranchDataP1.charged_degrees), and only after the checks that can
+reject the data.  The genus of the cover curve then comes out of either
+Riemann-Hurwitz or the eigensheaf table; the two routes are independent and
+are cross-checked throughout.
 """
 
 from __future__ import annotations
@@ -138,7 +143,8 @@ class BranchDataP1:
     weighted coordinates, so a charged degree is a sum of integer dot
     products, and as the inertia list of (coordinates, order, degree), so
     Riemann-Hurwitz and the fixed points read each order once.  The
-    building-data checks run once (`validation`).
+    building-data checks run once (`validation`), and so does the table of
+    the charged degrees of all characters (`charged_degrees`), on demand.
     """
 
     def __init__(self, group: AbelianGroup, entries, line_bundles=None):
@@ -175,6 +181,25 @@ class BranchDataP1:
 
     def total_degree(self) -> int:
         return sum(self.degrees.values())
+
+    @cached_property
+    def charged_degrees(self) -> list[int]:
+        """The charged degree of every character, in the order of
+        coordinate_vectors().  Each branch element's pairing values over all
+        characters are grown one coordinate at a time, the last coordinate
+        first: the values of the characters with chi_i = c are those of
+        chi_i = 0 shifted by c times the element's weighted coordinate i, or
+        repeated when that coordinate is 0.  The element's degree is then
+        added where its value is nonzero modulo the exponent: |G| * k list
+        steps for k branch elements, and no per-character dot product."""
+        moduli, ex = self.group.moduli, self.group.exponent
+        table = [0] * self.group.order
+        for row, d in self._weighted:
+            values = [0]
+            for s, m in zip(reversed(row), reversed(moduli)):
+                values = [v + t for t in range(0, m * s, s) for v in values] if s else values * m
+            table = [t + d if v % ex else t for t, v in zip(table, values)]
+        return table
 
     def charged_degree(self, chi: tuple[int, ...]) -> int:
         """Total branch degree on elements outside ker(chi), for the character
@@ -242,16 +267,17 @@ def rh_genus(data: BranchDataP1) -> int:
 def eigensheaf_degrees(data: BranchDataP1) -> dict[tuple[int, ...], int]:
     """Degree of the eigensheaf L_chi for every character chi, keyed by its
     coordinates in the order of coordinate_vectors(); the trivial character
-    has degree 0.  For a 2-elementary group deg L_chi is half the charged
-    branch degree.  Groups with a factor of order > 2 would need the general
+    has degree 0.  beauville.bicanonical_report relies on that key order.
+    For a 2-elementary group deg L_chi is half the charged branch degree,
+    read off the data's table of charged degrees (charged_degrees), which
+    is built on the first call.  Groups with a factor of order > 2 would need the general
     eigensheaf formula, which is out of scope here, so they are rejected
     outright rather than guessed at."""
     if any(m != 2 for m in data.group.moduli):
         raise InvalidCoverData(
             "eigensheaf degrees are implemented only for groups of exponent 2")
     table = {}
-    for chi in data.group.coordinate_vectors():
-        s = data.charged_degree(chi)
+    for chi, s in zip(data.group.coordinate_vectors(), data.charged_degrees):
         if s % 2 != 0:
             raise InvalidCoverData(f"charged branch degree {s} for character {chi} is odd")
         table[chi] = s // 2

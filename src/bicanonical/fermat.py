@@ -97,7 +97,9 @@ def verify_weight_derivation() -> bool:
     b (B(0, y) - B(0, 0)), and two outer sums agree at every entry exactly
     when L - P and R - Q are constants whose sum is 0 mod 5.  So the 625
     closed pairs are tested once for separability, and each g compares 25 + 25
-    values, with the verdict of the comparison at all 5^6 tuples."""
+    values, with the verdict of the comparison at all 5^6 tuples.  The factor
+    table of each of the 25 elements is computed once, and R is the table of
+    psi(g)."""
     psi = fermat_psi()
     residues = list(itertools.product(range(5), repeat=2))
     table = [[weight_coefficients(i, j, alpha, beta) for alpha, beta in residues]
@@ -111,13 +113,13 @@ def verify_weight_derivation() -> bool:
                 return False
     p_pairs = [row[0] for row in table]
     q_pairs = [(A - A00, B - B00) for A, B in first]
-    for u in FERMAT_GROUP.elements():
-        v = psi(u)
+    elements = FERMAT_GROUP.elements()
+    # the factor table of every element, once: psi(u) is again an element
+    factor = {u: [factor_weight(u, i, j) for i, j in residues] for u in elements}
+    for u in elements:
         a, b = u
-        left = {(factor_weight(u, i, j) - a * A - b * B) % 5
-                for (i, j), (A, B) in zip(residues, p_pairs)}
-        right = {(factor_weight(v, alpha, beta) - a * A - b * B) % 5
-                 for (alpha, beta), (A, B) in zip(residues, q_pairs)}
+        left = {(w - a * A - b * B) % 5 for w, (A, B) in zip(factor[u], p_pairs)}
+        right = {(w - a * A - b * B) % 5 for w, (A, B) in zip(factor[psi(u)], q_pairs)}
         if len(left) != 1 or len(right) != 1 or (left.pop() + right.pop()) % 5:
             return False
     return True

@@ -5,11 +5,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bicanonical.beauville import (beauville_invariants, bicanonical_report,
-                                   fixed_point_elements, is_free, two_k_bidegree)
+                                   fixed_point_elements, is_free, minus_pullbacks,
+                                   two_k_bidegree)
 from bicanonical.covers import BranchDataP1, InternalInconsistency, InvalidCoverData
-from bicanonical.grouplib import Automorphism, make_group
+from bicanonical.grouplib import Automorphism, GroupError, make_group
 from oracles import (add, automorphism_error, fixed_elements_of, free_with_witness, inverse,
-                     pairing)
+                     neg, pairing)
 
 
 def identity(group):
@@ -131,6 +132,30 @@ def test_freeness_on_coordinates_matches_the_object_route(spec):
     fix1, fix2 = fixed_point_elements(spec.branch1), fixed_point_elements(spec.branch2)
     assert fix1 == added1 and fix2 == added2
     assert is_free(spec.psi, fix1, fix2) == free_with_witness(spec.psi, added1, added2)
+
+
+@st.composite
+def _automorphisms(draw):
+    """A random automorphism of Z2^n (n = 1 to 4), Z3^2 or Z4 x Z2, from
+    random images of the generators; draws that are no automorphism are
+    rejected."""
+    moduli = draw(st.sampled_from([(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (4, 2)]))
+    group = make_group(moduli)
+    images = [tuple(draw(st.integers(0, m - 1)) for m in moduli) for _ in moduli]
+    try:
+        return Automorphism.from_images(group, images)
+    except GroupError:
+        assume(False)
+
+
+@given(_automorphisms())
+@example(Automorphism.from_images(make_group([3, 3]), [(1, 1), (0, 1)]))
+@example(Automorphism.from_images(make_group([4, 2]), [(1, 1), (2, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_grown_gamma_perp_matches_the_pullback_of_every_character(psi):
+    G = psi.group
+    assert minus_pullbacks(psi) == [neg(G, psi.pullback(chi2))
+                                    for chi2 in G.coordinate_vectors()]
 
 
 def test_beauville_invariants():

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical import cli, fermat, linsys, proofcheck
+from bicanonical import cli, covers, fermat, linsys, proofcheck
+from bicanonical.grouplib import make_group
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +299,36 @@ def test_product_quotient_at_the_cap_runs_past_it(tmp_path, capsys):
     assert code == 1
     assert "$.group" not in out
     assert "invariant mismatch" in out
+
+
+def test_product_quotient_at_the_cap_builds_no_character_table(tmp_path, capsys, monkeypatch):
+    # Z2^9 with a divisor of degree 1 on every nonzero element: the building
+    # data is valid, and the genera, 64897 each, fail the invariant check
+    # before any eigensheaf degree is needed, so only the 9 dual-basis
+    # characters of each curve are charged, never all 512
+    built, charged = [], []
+    table, single = covers.BranchDataP1.charged_degrees.func, covers.BranchDataP1.charged_degree
+
+    def table_spy(data):
+        built.append(data)
+        return table(data)
+
+    def single_spy(data, chi):
+        charged.append(chi)
+        return single(data, chi)
+
+    monkeypatch.setattr(covers.BranchDataP1, "charged_degrees", property(table_spy))
+    monkeypatch.setattr(covers.BranchDataP1, "charged_degree", single_spy)
+    group = make_group([2] * 9)
+    branch = [{"element": list(g), "degree": 1} for g in group.coordinate_vectors() if any(g)]
+    curve = {"branch": branch, "line_bundles": [128] * 9}
+    payload = {"kind": "product-quotient", "group": [2] * 9,
+               "automorphism": [list(g) for g in group.generators()],
+               "curve1": curve, "curve2": curve}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: validation failed: invariant mismatch: (g1-1)(g2-1) = "
+                              "4211490816 != |G| = 512\n")
+    assert built == [] and len(charged) == 2 * 9
 
 
 def _fermat_pq_payload():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bicanonical.covers import (BranchDataP1, BranchDataSurface, CoverInvariants,
                                 DoubleCoverInput, InternalInconsistency,
@@ -154,6 +156,48 @@ def test_eigensheaf_degrees_tables():
     _, d1 = z24_curve(("P0", "P1", "P2", "P3", "P4"))
     t4 = eigensheaf_degrees(d1)
     assert sorted(t4.values()) == [0] + [1] * 10 + [2] * 5
+
+
+@st.composite
+def _branch_data(draw):
+    """Branch data over a random group with moduli 2 to 6, on up to six
+    nonzero elements, each divisor a degree 0 to 4 or a list of points."""
+    moduli = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    group = make_group(moduli)
+    nonzero = [c for c in group.coordinate_vectors() if any(c)]
+    chosen = draw(st.lists(st.sampled_from(nonzero), max_size=6, unique=True))
+    entries = {}
+    for k, c in enumerate(chosen):
+        degree = draw(st.integers(0, 4))
+        entries[c] = draw(st.sampled_from([degree, tuple(f"P{k}.{i}" for i in range(degree))]))
+    return BranchDataP1(group, entries)
+
+
+@given(_branch_data())
+@example(BranchDataP1(make_group([2, 3, 4]), {(1, 0, 0): 1, (0, 2, 1): 2, (1, 1, 3): 3}))
+@example(BranchDataP1(make_group([6, 4]), {(3, 0): ("P", "Q"), (2, 2): 1, (5, 1): 4}))
+@example(BranchDataP1(make_group([5]), {}))
+@settings(max_examples=200, deadline=None)
+def test_charged_degree_table_matches_the_per_character_route(data):
+    group = data.group
+    assert data.charged_degrees == [data.charged_degree(chi)
+                                    for chi in group.coordinate_vectors()]
+
+
+def test_eigensheaf_degrees_are_keyed_in_coordinate_order():
+    for data in (*z23_curves()[1:], z24_curve("ABCDE")[1]):
+        table = eigensheaf_degrees(data)
+        assert list(table) == list(data.group.coordinate_vectors())
+        assert list(table.values()) == [data.charged_degree(chi) // 2 for chi in table]
+
+
+def test_eigensheaf_names_the_first_odd_character():
+    G = make_group([2, 2])
+    data = BranchDataP1(G, {(1, 0): 1, (0, 1): 2})
+    # (0, 1) charges D_(0, 1) of even degree 2; (1, 0) is the first odd one
+    with pytest.raises(InvalidCoverData,
+                       match=r"^charged branch degree 1 for character \(1, 0\) is odd$"):
+        eigensheaf_degrees(data)
 
 
 def test_eigensheaf_rejects_non_two_elementary():
