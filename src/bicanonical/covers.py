@@ -270,9 +270,9 @@ def eigensheaf_degrees(data: BranchDataP1) -> dict[tuple[int, ...], int]:
     has degree 0.  beauville.bicanonical_report relies on that key order.
     For a 2-elementary group deg L_chi is half the charged branch degree,
     read off the data's table of charged degrees (charged_degrees), which
-    is built on the first call.  Groups with a factor of order > 2 would need the general
-    eigensheaf formula, which is out of scope here, so they are rejected
-    outright rather than guessed at."""
+    is built on the first call.  Groups with a factor of order > 2 would
+    need the general eigensheaf formula, which is out of scope here, so they
+    are rejected outright rather than guessed at."""
     if any(m != 2 for m in data.group.moduli):
         raise InvalidCoverData(
             "eigensheaf degrees are implemented only for groups of exponent 2")
