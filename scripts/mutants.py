@@ -51,10 +51,10 @@ MUTANTS = [
     ("src/bicanonical/beauville.py",
      "violations = [g for g in fix1 if psi(g) in fix2]",
      "violations = []"),
-    # the automorphism image set grown one step short per generator
+    # linear values grown one multiple short per factor
     ("src/bicanonical/grouplib.py",
-     "for _ in range(m - 1):",
-     "for _ in range(m - 2):"),
+     "values = [v + t for t in range(0, m * s, s) for v in values] if s else values * m",
+     "values = [v + t for t in range(0, (m - 1) * s, s) for v in values] if s else values * m"),
     # the kernel taken from chi1, the first factor of a contributing pair
     ("src/bicanonical/beauville.py",
      "contributing.append(entry.character[rank:])",
@@ -64,9 +64,9 @@ MUTANTS = [
      "return (a + 1) * (b + 1) if a >= 0 and b >= 0 else 0",
      "return (a + 1) * (b + 1) if a > 0 and b >= 0 else 0"),
     # chi o psi read off the matrix untransposed
-    ("src/bicanonical/grouplib.py",
-     "return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m",
-     "return tuple(sum(c * matrix[j][i] * m // moduli[i] for i, c in enumerate(chi)) % m"),
+    ("src/bicanonical/beauville.py",
+     "[matrix[i][j] * n // m for i, m in enumerate(moduli)]",
+     "[matrix[j][i] * n // m for i, m in enumerate(moduli)]"),
     # a frame point kills one exponent fewer than its conditions do
     ("src/bicanonical/linsys.py",
      "limit[k] = d - 1 - min(mult[i] - 1, d)",
@@ -79,10 +79,10 @@ MUTANTS = [
     ("src/bicanonical/exactlinalg.py",
      "            a = row[col]\n            if a:",
      "            a = row[col]\n            if a > 0:"),
-    # the branch degree charged on the kernel of chi instead of outside it
+    # the dual-basis degree charged on the kernel of e_i instead of outside it
     ("src/bicanonical/covers.py",
-     "return sum(d for row, d in self._weighted if sum(map(mul, chi, row)) % ex)",
-     "return sum(d for row, d in self._weighted if not sum(map(mul, chi, row)) % ex)"),
+     "charged = sum(d for g, d in self.degrees.items() if g[i])",
+     "charged = sum(d for g, d in self.degrees.items() if not g[i])"),
     # the largest violating element reported as the freeness witness
     ("src/bicanonical/beauville.py",
      "return False, min(violations)",
@@ -108,14 +108,14 @@ MUTANTS = [
      "            if (type(gamma) is not tuple or len(gamma) != len(moduli)\n                    "
      "or not all(type(c) is int and 0 <= c < m for c, m in zip(gamma, moduli))):",
      "            if type(gamma) is not tuple:"),
-    # a character of the wrong length charged over the branch data, cut short by zip
-    ("src/bicanonical/covers.py",
-     "if len(chi) != self.group.rank:",
-     "if False:"),
-    # a character of the wrong length pulled back, cut short by zip or read past the matrix
+    # linear values of coefficients of the wrong length, cut short by zip
     ("src/bicanonical/grouplib.py",
-     "if len(chi) != len(moduli):",
+     "if len(coeffs) != len(self.moduli):",
      "if False:"),
+    # the order of coordinates of the wrong length, cut short by zip
+    ("src/bicanonical/grouplib.py",
+     "    if len(coords) != len(moduli):\n        raise GroupError",
+     "    if False:\n        raise GroupError"),
     # a line stripped when its points carry exactly d conditions, not more
     ("src/bicanonical/linsys.py",
      "sum(map(mult.__getitem__, line)) > d",
@@ -160,14 +160,14 @@ MUTANTS = [
     ("src/bicanonical/covers.py",
      "table = [t + d if v % ex else t for t, v in zip(table, values)]",
      "table = [t + d if not v % ex else t for t, v in zip(table, values)]"),
-    # the charged-degree table grown first coordinate first, so out of coordinate order
-    ("src/bicanonical/covers.py",
-     "for s, m in zip(reversed(row), reversed(moduli)):",
-     "for s, m in zip(row, moduli):"),
-    # Gamma-perp grown from chi o psi instead of -(chi o psi): equal only in exponent 2
+    # linear values grown first coordinate first, so out of coordinate order
+    ("src/bicanonical/grouplib.py",
+     "for s, m in zip(reversed(coeffs), reversed(self.moduli)):",
+     "for s, m in zip(coeffs, self.moduli):"),
+    # Gamma-perp listed from chi o psi instead of -(chi o psi): equal only in exponent 2
     ("src/bicanonical/beauville.py",
-     "step = tuple(-c % n for c, n in zip(psi.pullback(unit), moduli))",
-     "step = tuple(c % n for c, n in zip(psi.pullback(unit), moduli))"),
+     "columns.append([-v % n for v in pulled])",
+     "columns.append([v % n for v in pulled])"),
     # a linsys payload with any number of systems
     ("src/bicanonical/cli.py",
      '"systems": {"type": "array", "minItems": 1, "maxItems": 32, ',

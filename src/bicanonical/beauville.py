@@ -13,21 +13,20 @@ Everything is computed in G itself, on coordinate tuples.  Gamma-perp is
 {(-(chi o psi), chi)} for the characters chi of G, and (G x G)/Gamma is G
 through (a, b) -> b - psi(a), under which (chi1, chi2) in Gamma-perp
 descends to chi2: its value on the representative (0, g).  The pullback is
-linear, so Automorphism.pullback runs once per report, on the unit
-characters, and the first factors -(chi o psi) are grown from those rows
-one coordinate at a time, in the order of the characters chi
-(minus_pullbacks), with no dot product per character.  Each curve's
-eigensheaf degrees come from its table of charged degrees, computed once per
-curve (BranchDataP1.charged_degrees).  The descent is
-checked directly on the graph generators (g, psi(g)), a second route to
-Gamma-perp, as weighted dot products.  The fixed points of the two curves,
-the freeness test, the contributing characters and their common kernel, the
-verdict, are all coordinate tuples.
+linear, so the first factors -(chi o psi), in the order of the characters
+chi, are listed one coordinate at a time by AbelianGroup.linear_values on a
+column of the transposed matrix (minus_pullbacks), with no dot product per
+character.  Each curve's eigensheaf degrees come from its table of charged
+degrees, computed once per curve (BranchDataP1.charged_degrees).  The
+descent is checked directly on the graph generators (g, psi(g)), a second
+route to Gamma-perp, as weighted dot products.  The fixed points of the two
+curves, the freeness test, the contributing characters and their common
+kernel, the verdict, are all coordinate tuples.
 """
 
 from __future__ import annotations
 
-from operator import add, mod, mul
+from operator import mul
 
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
                      InvalidCoverData, Verdict, eigensheaf_degrees, genus_from_degrees,
@@ -97,21 +96,17 @@ class BicanonicalReport:
 
 def minus_pullbacks(psi: Automorphism) -> list[tuple[int, ...]]:
     """-(chi o psi) for every character chi of the group of psi, in the order
-    of coordinate_vectors(): the first factors of Gamma-perp.  The map is
-    linear, so the list is grown from the pullbacks of the unit characters,
-    the last coordinate first, as Automorphism grows its image set: the
-    characters with chi_i = c are those with chi_i = 0 shifted by c times
-    the negated pullback of the unit character e_i, and are appended after
-    them."""
-    moduli = psi.group.moduli
-    grown = [(0,) * len(moduli)]
-    for unit, m in zip(reversed(psi.group.generators()), reversed(moduli)):
-        step = tuple(-c % n for c, n in zip(psi.pullback(unit), moduli))
-        shifted = grown
-        for _ in range(m - 1):
-            shifted = [tuple(map(mod, map(add, x, step), moduli)) for x in shifted]
-            grown = grown + shifted
-    return grown
+    of coordinate_vectors(): the first factors of Gamma-perp.  Coordinate j
+    of e_i o psi is M[i][j] m_j / m_i, an integer by the homomorphism check,
+    so the matrix acts transposed, and coordinate j of chi o psi is the
+    linear form of column j rescaled, listed for every chi at once."""
+    group, matrix = psi.group, psi.matrix
+    moduli = group.moduli
+    columns = []
+    for j, n in enumerate(moduli):
+        pulled = group.linear_values([matrix[i][j] * n // m for i, m in enumerate(moduli)])
+        columns.append([-v % n for v in pulled])
+    return list(zip(*columns))
 
 
 def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,

@@ -898,11 +898,12 @@ def run_lattice(payload, verbose=False):
     else:
         lat = piclattice.make_blowup_lattice(payload.get("blowup_points", 6))
     operations = []
-    for op in payload["operations"]:
+    for i, op in enumerate(payload["operations"]):
+        path = f"$.operations[{i}]"
         kind = op["op"]
         entry = {"op": kind}
         if kind in ("intersect", "pullback"):
-            a, b = lat.cls(op["a"]), lat.cls(op["b"])
+            a, b = _lattice_class(lat, op, path, "a"), _lattice_class(lat, op, path, "b")
             entry.update(a=str(a), b=str(b))
             if kind == "intersect":
                 value = a.dot(b)
@@ -912,14 +913,26 @@ def run_lattice(payload, verbose=False):
         elif kind == "canonical":
             value = str(piclattice.canonical_class(lat))
         elif kind == "negative-definite":
-            value = piclattice.is_negative_definite(op["gram"])
+            try:
+                value = piclattice.is_negative_definite(op["gram"])
+            except ValueError as exc:
+                raise _at(f"{path}.gram", exc) from exc
         else:  # divisible
-            a = lat.cls(op["a"])
+            a = _lattice_class(lat, op, path, "a")
             entry.update(a=str(a), k=op["k"])
             value = piclattice.is_divisible_by(a, op["k"])
         entry["result"] = value
         operations.append(entry)
     return {"operations": operations}
+
+
+def _lattice_class(lat, op, path: str, key: str):
+    """The class op[key] on the lattice; a label the lattice lacks is an
+    input error at the operand's JSON path."""
+    try:
+        return lat.cls(op[key])
+    except piclattice.LatticeMismatch as exc:
+        raise _at(f"{path}.{key}", exc) from exc
 
 
 def render_lattice(result, verbose=False):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import mul
 
-from .grouplib import AbelianGroup, GroupError, Subgroup, common_kernel, order_of
+from .grouplib import AbelianGroup, Subgroup, common_kernel, order_of
 from .piclattice import DivisorClass, Lattice, canonical_class
 
 
@@ -140,16 +140,15 @@ class BranchDataP1:
     or as a tuple of distinct point labels; line_bundles holds
     the degrees of L_1..L_n attached to the dual basis characters.  Zero
     divisors may simply be omitted.  The branch elements are also kept as
-    weighted coordinates, so a charged degree is a sum of integer dot
-    products, and as the inertia list of (coordinates, order, degree), so
-    Riemann-Hurwitz and the fixed points read each order once.  The
-    building-data checks run once (`validation`), and so does the table of
-    the charged degrees of all characters (`charged_degrees`), on demand.
+    the inertia list of (coordinates, order, degree), so Riemann-Hurwitz and
+    the fixed points read each order once.  The building-data checks run
+    once (`validation`), and so does the table of the charged degrees of all
+    characters (`charged_degrees`), on demand.
     """
 
     def __init__(self, group: AbelianGroup, entries, line_bundles=None):
         self.group = group
-        weights, moduli = group.weights, group.moduli
+        moduli = group.moduli
         degrees: dict[tuple[int, ...], int] = {}
         points: dict[tuple[int, ...], tuple[str, ...]] = {}
         for gamma, value in entries.items():
@@ -176,7 +175,6 @@ class BranchDataP1:
         self.line_bundles = None if line_bundles is None else tuple(int(x) for x in line_bundles)
         if self.line_bundles is not None and len(self.line_bundles) != group.rank:
             raise InvalidCoverData("need one line bundle degree per generator")
-        self._weighted = [(tuple(map(mul, g, weights)), d) for g, d in degrees.items()]
         self.inertia = [(g, order_of(g, moduli), d) for g, d in degrees.items()]
 
     def total_degree(self) -> int:
@@ -185,30 +183,18 @@ class BranchDataP1:
     @cached_property
     def charged_degrees(self) -> list[int]:
         """The charged degree of every character, in the order of
-        coordinate_vectors().  Each branch element's pairing values over all
-        characters are grown one coordinate at a time, the last coordinate
-        first: the values of the characters with chi_i = c are those of
-        chi_i = 0 shifted by c times the element's weighted coordinate i, or
-        repeated when that coordinate is 0.  The element's degree is then
-        added where its value is nonzero modulo the exponent: |G| * k list
-        steps for k branch elements, and no per-character dot product."""
-        moduli, ex = self.group.moduli, self.group.exponent
-        table = [0] * self.group.order
-        for row, d in self._weighted:
-            values = [0]
-            for s, m in zip(reversed(row), reversed(moduli)):
-                values = [v + t for t in range(0, m * s, s) for v in values] if s else values * m
+        coordinate_vectors().  The pairing of chi with a branch element g is
+        linear in chi, with the weighted coordinates of g as coefficients, so
+        linear_values lists it for every character at once; the element's
+        degree is then added where the value is nonzero modulo the exponent,
+        with no per-character dot product."""
+        group = self.group
+        weights, ex = group.weights, group.exponent
+        table = [0] * group.order
+        for g, d in self.degrees.items():
+            values = group.linear_values(tuple(map(mul, g, weights)))
             table = [t + d if v % ex else t for t, v in zip(table, values)]
         return table
-
-    def charged_degree(self, chi: tuple[int, ...]) -> int:
-        """Total branch degree on elements outside ker(chi), for the character
-        of this group with coordinates chi: chi(g) is the dot product of chi
-        with g's weighted coordinates."""
-        if len(chi) != self.group.rank:
-            raise GroupError("coordinate length does not match the group rank")
-        ex = self.group.exponent
-        return sum(d for row, d in self._weighted if sum(map(mul, chi, row)) % ex)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -227,9 +213,10 @@ class BranchDataP1:
             checks.append(ValidationCheck("line bundles given", False,
                                           "no line bundle degrees were supplied"))
         else:
-            rank = self.group.rank
-            for i in range(rank):
-                charged = self.charged_degree(tuple(int(j == i) for j in range(rank)))
+            # e_i pairs with a reduced gamma to gamma_i exponent / m_i, which
+            # is nonzero exactly when gamma_i is
+            for i in range(self.group.rank):
+                charged = sum(d for g, d in self.degrees.items() if g[i])
                 checks.append(ValidationCheck(
                     f"2L{i + 1} matches the charged branch degree",
                     2 * self.line_bundles[i] == charged,

@@ -7,22 +7,25 @@ becomes such a tuple, and it checks the length first.  The pairing of a
 character chi with an element g is the integer exponent
 sum chi_i g_i weight_i modulo the group exponent, never a floating-point
 root of unity.  There are no element or character objects: orders
-(order_of), images under an automorphism, the pullback of characters and
-the pairings are all computed on the tuples.
+(order_of), images under an automorphism and the pairings are all computed
+on the tuples.
+
+The group is enumerated in one order, that of coordinate_vectors(), and
+AbelianGroup.linear_values is the one place besides it that knows the
+order: it lists a linear form at every coordinate vector, grown one
+coordinate at a time.  Automorphism checks bijectivity on the images it
+lists, covers tabulates the pairing values of each branch element with it,
+and beauville lists -(chi o psi) for every character chi with it, one
+output coordinate per call, so the characters of G x G killing the graph
+of psi, the pairs (-(chi o psi), chi), need no per-character pullback and
+no G x G.
 
 A character kills a subgroup iff it kills its members, so an orthogonal
 complement or a common kernel is one scan of the coordinate vectors of the
 group, filtered by the weighted coordinates of what must be killed
 (_annihilated).  The scan finds the whole kernel, so a Subgroup is just
-the group and the member tuples it is given; it computes no closure.  An
-automorphism psi acts on characters by pullback, chi -> chi o psi, written
-down from its matrix (Automorphism.pullback); the characters of G x G
-killing the graph of psi are the pairs (-(chi o psi), chi), so no G x G is
-ever built.
-
-An automorphism checks its bijectivity on coordinate tuples, growing the
-image set one generator column at a time.  The command line caps the group
-order at MAX_GROUP_ORDER.
+the group and the member tuples it is given; it computes no closure.  The
+command line caps the group order at MAX_GROUP_ORDER.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from math import gcd, lcm
-from operator import add, mod, mul
+from operator import mul
 
 # the largest group order a scenario may ask for: Automorphism and
 # common_kernel enumerate the whole group.  Product quotients run only for
@@ -75,6 +78,19 @@ class AbelianGroup:
         """Every reduced residue vector, in lexicographic order."""
         return itertools.product(*(range(m) for m in self.moduli))
 
+    def linear_values(self, coeffs) -> list[int]:
+        """sum c_i coeffs_i, not reduced, for every coordinate vector c in the
+        order of coordinate_vectors().  The list is grown the last coordinate
+        first: the values with c_i = k are those with c_i = 0 shifted by
+        k * coeffs_i and appended after them, or repeated when coeffs_i is 0,
+        so |G| additions per factor and no dot product per vector."""
+        if len(coeffs) != len(self.moduli):
+            raise GroupError("coordinate length does not match the group rank")
+        values = [0]
+        for s, m in zip(reversed(coeffs), reversed(self.moduli)):
+            values = [v + t for t in range(0, m * s, s) for v in values] if s else values * m
+        return values
+
     def reduce(self, coords) -> tuple[int, ...]:
         """The element or character with the given coordinates, as its tuple
         of reduced residues; there must be one coordinate per factor."""
@@ -97,24 +113,21 @@ def make_group(moduli) -> AbelianGroup:
     return AbelianGroup(tuple(int(m) for m in moduli))
 
 
-def _add(x: tuple[int, ...], y: tuple[int, ...], moduli: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(mod, map(add, x, y), moduli))
-
-
 def order_of(coords: tuple[int, ...], moduli: tuple[int, ...]) -> int:
-    """The order of the element with the given reduced coordinates."""
+    """The order of the element with the given reduced coordinates, one per
+    modulus."""
+    if len(coords) != len(moduli):
+        raise GroupError("coordinate length does not match the group rank")
     return lcm(*(m // gcd(c, m) for c, m in zip(coords, moduli)))
 
 
 class Automorphism:
     """Automorphism of an abelian group; matrix columns are the images of the
     standard generators.  On creation the matrix must define a homomorphism
-    whose image is the whole group.  The image is grown one generator column
-    at a time: the images of the elements spanned by the first j generators,
-    shifted by k times column j for k = 1..m_j - 1, give those spanned by the
-    first j + 1.  That is the set an exhaustive scan of the group would find,
-    in at most 2|G| tuple additions for exponent 2 instead of |G| * rank dot
-    products.  perfbench/tracing.py wraps __init__ by name."""
+    whose image is the whole group: image coordinate i of every element is
+    listed at once by linear_values on row i, and the reduced rows, zipped
+    into tuples, must give |G| distinct images.  perfbench/tracing.py wraps
+    __init__ by name."""
 
     def __init__(self, group: AbelianGroup, matrix: tuple[tuple[int, ...], ...]):
         self.group = group
@@ -129,14 +142,8 @@ class Automorphism:
                 # be killed by m_j
                 if (moduli[j] * matrix[i][j]) % moduli[i] != 0:
                     raise GroupError("matrix does not define a homomorphism")
-        images = {(0,) * n}
-        for j, m in enumerate(moduli):
-            column = tuple(row[j] for row in matrix)
-            shifted = images
-            for _ in range(m - 1):
-                shifted = {_add(image, column, moduli) for image in shifted}
-                images |= shifted
-        if len(images) != group.order:
+        rows = [[v % m for v in group.linear_values(row)] for row, m in zip(matrix, moduli)]
+        if len(set(zip(*rows))) != group.order:
             raise GroupError("matrix is not invertible over the group")
 
     @classmethod
@@ -155,16 +162,6 @@ class Automorphism:
             raise GroupError("element of a different group")
         return tuple(sum(map(mul, row, coords)) % m
                      for row, m in zip(self.matrix, self.group.moduli))
-
-    def pullback(self, chi: tuple[int, ...]) -> tuple[int, ...]:
-        """The coordinates of chi o psi, for the coordinates of a character
-        chi.  Coordinate j of e_i o psi is M[i][j] m_j / m_i modulo m_j, an
-        integer by the homomorphism check, so the matrix acts transposed."""
-        moduli, matrix = self.group.moduli, self.matrix
-        if len(chi) != len(moduli):
-            raise GroupError("coordinate length does not match the group rank")
-        return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m
-                     for j, m in enumerate(moduli))
 
 
 class Subgroup:

@@ -7,13 +7,18 @@ linsys.ProjectivePoint), projectivities of a configuration (h^0 is invariant
 under them), group addition and the character pairing on coordinate tuples,
 the span of generators by coset closure (against the kernel scan
 grouplib._annihilated), the inverse of an automorphism, the automorphism
-check by an exhaustive scan of the group (against the growing image set of
-grouplib.Automorphism), fixed points and graph freeness by repeated
-addition (against the multiples of beauville.fixed_point_elements and
-is_free), the 225 Fermat bimonomials, the Fermat weight check at all 5^6
-residue tuples (against fermat.verify_weight_derivation), the dual-basis
-line bundle degrees of P^1 branch data, and the Inoue building data.  The
-library does not import this module.
+check by an exhaustive scan of the group (against the listed images of
+grouplib.Automorphism), the pullback chi o psi of one character (against
+the columns of beauville.minus_pullbacks) and its untransposed misreading
+(which the descent check must catch), the charged degree of one character
+by one pairing per branch element (against the table of
+covers.BranchDataP1.charged_degrees and the dual-basis degrees of its
+validation), fixed points and graph freeness by repeated addition (against
+the multiples of beauville.fixed_point_elements and is_free), the 225
+Fermat bimonomials, the Fermat weight check at all 5^6 residue tuples
+(against fermat.verify_weight_derivation), the dual-basis line bundle
+degrees of P^1 branch data, and the Inoue building data.  The library does
+not import this module.
 """
 
 from __future__ import annotations
@@ -156,6 +161,33 @@ def automorphism_error(group, matrix) -> str | None:
     return None
 
 
+def pullback(psi: Automorphism, chi) -> tuple[int, ...]:
+    """The coordinates of chi o psi, for the coordinates of a character chi
+    of psi's group.  Coordinate j of e_i o psi is M[i][j] m_j / m_i modulo
+    m_j, an integer by the homomorphism check, so the matrix acts
+    transposed."""
+    group, matrix = psi.group, psi.matrix
+    _same_rank(group, chi)
+    moduli = group.moduli
+    return tuple(sum(c * matrix[i][j] * m // moduli[i] for i, c in enumerate(chi)) % m
+                 for j, m in enumerate(moduli))
+
+
+def untransposed_minus_pullbacks(psi: Automorphism) -> list[tuple[int, ...]]:
+    """A wrong Gamma-perp, for tests of the descent check: its first factors
+    with the matrix acting on characters untransposed, -psi(chi) in place of
+    -(chi o psi)."""
+    return [neg(psi.group, psi(chi)) for chi in psi.group.coordinate_vectors()]
+
+
+def charged_degree(data, chi) -> int:
+    """Total branch degree of P^1 branch data on the elements outside
+    ker(chi), for the coordinates of a character chi of its group: one
+    pairing per branch element."""
+    _same_rank(data.group, chi)
+    return sum(d for g, d in data.degrees.items() if pairing(data.group, chi, g))
+
+
 def fixed_elements_of(data) -> frozenset[tuple[int, ...]]:
     """The elements with fixed points on a P^1 cover: the multiples of each
     branch element, by repeated addition, until they reach zero."""
@@ -207,7 +239,7 @@ def dual_basis_degrees(group, data) -> tuple[int, ...]:
     out = []
     for i in range(group.rank):
         chi = group.generators()[i]
-        s = data.charged_degree(chi)
+        s = charged_degree(data, chi)
         if s % 2 != 0:
             raise InvalidCoverData(f"charged branch degree {s} for character {chi} is odd")
         out.append(s // 2)

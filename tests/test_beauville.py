@@ -4,13 +4,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bicanonical import beauville
 from bicanonical.beauville import (beauville_invariants, bicanonical_report,
                                    fixed_point_elements, is_free, minus_pullbacks,
                                    two_k_bidegree)
 from bicanonical.covers import BranchDataP1, InternalInconsistency, InvalidCoverData
+from bicanonical.fermat import fermat_psi
 from bicanonical.grouplib import Automorphism, GroupError, make_group
 from oracles import (add, automorphism_error, fixed_elements_of, free_with_witness, inverse,
-                     neg, pairing)
+                     neg, pairing, pullback, untransposed_minus_pullbacks)
 
 
 def identity(group):
@@ -154,8 +156,17 @@ def _automorphisms(draw):
 @settings(max_examples=200, deadline=None)
 def test_grown_gamma_perp_matches_the_pullback_of_every_character(psi):
     G = psi.group
-    assert minus_pullbacks(psi) == [neg(G, psi.pullback(chi2))
+    assert minus_pullbacks(psi) == [neg(G, pullback(psi, chi2))
                                     for chi2 in G.coordinate_vectors()]
+
+
+def test_gamma_perp_of_the_fermat_automorphism_matches_the_pullback_of_every_character():
+    # over Z5^2, where -(chi o psi) and chi o psi differ
+    psi = fermat_psi()
+    G = psi.group
+    grown = minus_pullbacks(psi)
+    assert grown == [neg(G, pullback(psi, chi2)) for chi2 in G.coordinate_vectors()]
+    assert grown != [pullback(psi, chi2) for chi2 in G.coordinate_vectors()]
 
 
 def test_beauville_invariants():
@@ -196,9 +207,9 @@ def test_induced_character_is_representative_independent():
 
 
 def test_induced_character_requires_descent(monkeypatch):
-    # an untransposed pullback builds pairs that do not kill the graph; the
-    # descent check on the contributing pairs catches them
-    monkeypatch.setattr(Automorphism, "pullback", Automorphism.__call__)
+    # an untransposed pullback, chi -> psi(chi), builds pairs that do not kill
+    # the graph; the descent check on the contributing pairs catches them
+    monkeypatch.setattr(beauville, "minus_pullbacks", untransposed_minus_pullbacks)
     with pytest.raises(InternalInconsistency, match="does not descend"):
         report_of(z24_spec())
 

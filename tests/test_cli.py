@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical import cli, covers, fermat, linsys, proofcheck
+from bicanonical import beauville, cli, covers, fermat, linsys, proofcheck
 from bicanonical.grouplib import make_group
+from oracles import untransposed_minus_pullbacks
 
 
 def run_cli(capsys, *argv):
@@ -305,20 +306,21 @@ def test_product_quotient_at_the_cap_builds_no_character_table(tmp_path, capsys,
     # Z2^9 with a divisor of degree 1 on every nonzero element: the building
     # data is valid, and the genera, 64897 each, fail the invariant check
     # before any eigensheaf degree is needed, so only the 9 dual-basis
-    # characters of each curve are charged, never all 512
-    built, charged = [], []
-    table, single = covers.BranchDataP1.charged_degrees.func, covers.BranchDataP1.charged_degree
+    # degrees of each curve are read off the branch data, and the 512
+    # characters are never charged
+    built, listed = [], []
+    table, values = covers.BranchDataP1.charged_degrees.func, covers.AbelianGroup.linear_values
 
     def table_spy(data):
         built.append(data)
         return table(data)
 
-    def single_spy(data, chi):
-        charged.append(chi)
-        return single(data, chi)
+    def values_spy(group, coeffs):
+        listed.append(coeffs)
+        return values(group, coeffs)
 
     monkeypatch.setattr(covers.BranchDataP1, "charged_degrees", property(table_spy))
-    monkeypatch.setattr(covers.BranchDataP1, "charged_degree", single_spy)
+    monkeypatch.setattr(covers.AbelianGroup, "linear_values", values_spy)
     group = make_group([2] * 9)
     branch = [{"element": list(g), "degree": 1} for g in group.coordinate_vectors() if any(g)]
     curve = {"branch": branch, "line_bundles": [128] * 9}
@@ -328,7 +330,9 @@ def test_product_quotient_at_the_cap_builds_no_character_table(tmp_path, capsys,
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert (code, out) == (1, "error: validation failed: invariant mismatch: (g1-1)(g2-1) = "
                               "4211490816 != |G| = 512\n")
-    assert built == [] and len(charged) == 2 * 9
+    assert built == []
+    # the identity automorphism lists its 9 image coordinates, and nothing more
+    assert len(listed) == 9
 
 
 def _fermat_pq_payload():
@@ -362,7 +366,7 @@ def test_product_quotient_rejects_a_group_not_of_exponent_2(tmp_path, capsys, mo
 def test_untransposed_pullback_exits_2(capsys, monkeypatch):
     # a Gamma-perp built with the matrix acting on characters untransposed
     # fails the descent check on the graph generators
-    monkeypatch.setattr(cli.Automorphism, "pullback", cli.Automorphism.__call__)
+    monkeypatch.setattr(beauville, "minus_pullbacks", untransposed_minus_pullbacks)
     code, out = run_cli(capsys, "run", "inoue-z24")
     assert code == 2
     assert out.startswith("error: internal inconsistency: character ")
@@ -468,6 +472,24 @@ def test_lattice_operation_missing_a_field_names_its_path(tmp_path, capsys, op):
     code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
     assert code == 1
     assert out.startswith("error: $.operations[1]")
+
+
+@pytest.mark.parametrize("op, message", [
+    ({"op": "negative-definite", "gram": [[1, 2], [3]]},
+     "$.operations[1].gram: matrix is not square"),
+    ({"op": "negative-definite", "gram": [[1, 2], [3, 4]]},
+     "$.operations[1].gram: matrix is not symmetric"),
+    ({"op": "intersect", "a": {"x": 1}, "b": {"l": 1}},
+     "$.operations[1].a: unknown basis labels ['x']"),
+    ({"op": "pullback", "degree": 4, "a": {"l": 1}, "b": {"l": 1, "f1": 1}},
+     "$.operations[1].b: unknown basis labels ['f1']"),
+    ({"op": "divisible", "k": 2, "a": {"e7": 2}},
+     "$.operations[1].a: unknown basis labels ['e7']"),
+], ids=["gram-not-square", "gram-not-symmetric", "intersect-a", "pullback-b", "divisible-a"])
+def test_lattice_operand_errors_name_their_path(tmp_path, capsys, op, message):
+    payload = {"kind": "lattice", "operations": [{"op": "canonical"}, op]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, f"error: validation failed: {message}\n")
 
 
 def test_linsys_system_without_class_or_degree_names_its_path(tmp_path, capsys):

@@ -12,7 +12,8 @@ from bicanonical.covers import (BranchDataP1, BranchDataSurface, CoverInvariants
 from bicanonical.grouplib import Subgroup, make_group
 from bicanonical.linsys import h0_class, quadrilateral_config
 from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
-from oracles import add, dual_basis_degrees, inoue_building_data, pairing, rh_genus_numeric
+from oracles import (add, charged_degree, dual_basis_degrees, inoue_building_data, pairing,
+                     rh_genus_numeric)
 
 
 @pytest.fixture(scope="module")
@@ -180,15 +181,25 @@ def _branch_data(draw):
 @settings(max_examples=200, deadline=None)
 def test_charged_degree_table_matches_the_per_character_route(data):
     group = data.group
-    assert data.charged_degrees == [data.charged_degree(chi)
+    assert data.charged_degrees == [charged_degree(data, chi)
                                     for chi in group.coordinate_vectors()]
+
+
+@given(_branch_data())
+@example(BranchDataP1(make_group([6, 4]), {(3, 0): ("P", "Q"), (2, 2): 1, (5, 1): 4}))
+@settings(max_examples=100, deadline=None)
+def test_dual_basis_checks_charge_what_the_per_character_route_charges(data):
+    group = data.group
+    unchecked = BranchDataP1(group, data.degrees, line_bundles=[0] * group.rank)
+    details = [check.detail for check in unchecked.validation.checks[1:]]
+    assert details == [f"2*0 vs {charged_degree(data, unit)}" for unit in group.generators()]
 
 
 def test_eigensheaf_degrees_are_keyed_in_coordinate_order():
     for data in (*z23_curves()[1:], z24_curve("ABCDE")[1]):
         table = eigensheaf_degrees(data)
         assert list(table) == list(data.group.coordinate_vectors())
-        assert list(table.values()) == [data.charged_degree(chi) // 2 for chi in table]
+        assert list(table.values()) == [charged_degree(data, chi) // 2 for chi in table]
 
 
 def test_eigensheaf_names_the_first_odd_character():
@@ -219,8 +230,8 @@ def test_genus_from_eigensheaf_degrees_matches():
 def test_parity_of_charged_degrees():
     G, c1, c2 = z23_curves()
     for data in (c1, c2):
-        for chi in G.characters():
-            assert data.charged_degree(chi) % 2 == 0
+        assert len(data.charged_degrees) == G.order
+        assert all(s % 2 == 0 for s in data.charged_degrees)
 
 
 # --------------------------------------------------------- the surface cover

@@ -1,15 +1,18 @@
 import itertools
 import time
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bicanonical.beauville import minus_pullbacks
 from bicanonical.covers import BranchDataP1, InvalidCoverData
 from bicanonical.grouplib import (Automorphism, GroupError, Subgroup, common_kernel,
                                   element_name, make_group, order_of, orthogonal_complement)
-from oracles import add, automorphism_error, inverse, neg, pairing, span
+from oracles import (add, automorphism_error, charged_degree, inverse, neg, pairing, pullback,
+                     span)
 
 
 def identity(group):
@@ -37,6 +40,23 @@ def test_element_arithmetic_and_order():
     assert order_of(a, G.moduli) == 4
     assert order_of((0, 2), G.moduli) == 2
     assert order_of((0, 0), G.moduli) == 1
+
+
+@pytest.mark.parametrize("coords, moduli", [((1, 1, 1), (2, 2)), ((1,), (2, 3)), ((), (2,))])
+def test_order_of_refuses_coordinates_of_another_length(coords, moduli):
+    # zip would cut the longer of the two short
+    with pytest.raises(GroupError, match="^coordinate length does not match the group rank$"):
+        order_of(coords, moduli)
+
+
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_linear_values_match_a_dot_product_per_coordinate_vector(moduli, data):
+    G = make_group(moduli)
+    coefficient = st.one_of(st.just(0), st.integers(-7, 7), st.integers(-10**30, 10**30))
+    coeffs = data.draw(st.tuples(*(coefficient for _ in moduli)))
+    assert G.linear_values(coeffs) == [sum(map(mul, v, coeffs))
+                                       for v in G.coordinate_vectors()]
 
 
 @pytest.mark.parametrize("coords", [[1, 0, 0, 1], [1, 0]])
@@ -78,12 +98,15 @@ def test_mixing_groups_is_an_error():
 def test_characters_of_the_wrong_length_are_rejected(chi):
     # zip would cut a short or long tuple to the rank, or index past it
     G = make_group([2, 2])
+    with pytest.raises(GroupError, match="^coordinate length does not match the group rank$"):
+        G.linear_values(chi)
+    # and so do the per-character routes of the oracles
     data = BranchDataP1(G, {(1, 0): 1, (0, 1): 1})
-    with pytest.raises(ValueError, match="^coordinate length does not match the group rank$"):
-        data.charged_degree(chi)
+    with pytest.raises(GroupError, match="^coordinate length does not match the group rank$"):
+        charged_degree(data, chi)
     psi = Automorphism.from_images(G, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError, match="^coordinate length does not match the group rank$"):
-        psi.pullback(chi)
+    with pytest.raises(GroupError, match="^coordinate length does not match the group rank$"):
+        pullback(psi, chi)
 
 
 def test_automorphism_application_examples():
@@ -122,7 +145,7 @@ def test_automorphism_inverse_is_inverse():
 
 
 # The automorphism check against the exhaustive scan of tests/oracles.py.
-_CHECKED_MODULI = [(2, 2, 2, 2), (2, 4), (3, 9), (5, 5)]
+_CHECKED_MODULI = [(2, 2, 2, 2), (2, 4), (4, 2), (2, 6), (3, 9), (5, 5)]
 
 
 def _verdict(group, matrix):
@@ -154,7 +177,7 @@ def test_automorphism_check_matches_the_exhaustive_scan(case):
     assert _verdict(group, matrix) == automorphism_error(group, matrix)
 
 
-@pytest.mark.parametrize("moduli", [(2, 4), (3, 9), (5, 5)])
+@pytest.mark.parametrize("moduli", [(2, 4), (4, 2), (2, 6), (3, 9), (5, 5)])
 def test_automorphism_check_matches_the_scan_on_every_reduced_matrix(moduli):
     """Every matrix of reduced entries over the group, so automorphisms and
     singular matrices are both met, and over Z2 x Z4 and Z3 x Z9 matrices
@@ -184,7 +207,7 @@ def _graph(psi):
 
 def _minus_pullback(psi, chi):
     """-(chi o psi), the partner of chi in Gamma-perp, as coordinates."""
-    return neg(psi.group, psi.pullback(chi))
+    return neg(psi.group, pullback(psi, chi))
 
 
 def test_graph_subgroup_orders():
@@ -397,7 +420,7 @@ def test_graph_complement_at_the_order_cap_is_fast():
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        perp = {_minus_pullback(psi, chi) + chi for chi in psi.group.characters()}
+        perp = set(map(tuple.__add__, minus_pullbacks(psi), psi.group.coordinate_vectors()))
         times.append(time.perf_counter() - start)
     assert len(perp) == 512
     assert min(times) < 0.050
