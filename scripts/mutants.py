@@ -172,6 +172,18 @@ MUTANTS = [
     ("src/bicanonical/cli.py",
      '"systems": {"type": "array", "minItems": 1, "maxItems": 32, ',
      '"systems": {"type": "array", "minItems": 1, '),
+    # the automorphism image table zipped from its rows in the wrong order
+    ("src/bicanonical/grouplib.py",
+     "self.images = dict(zip(group.coordinate_vectors(), zip(*rows)))",
+     "self.images = dict(zip(group.coordinate_vectors(), zip(*rows[::-1])))"),
+    # the Fermat lattice memberships tested against a basis missing a row
+    ("src/bicanonical/fermat.py",
+     "basis = integer_row_echelon([g.exponents for g in ratio_lattice(monomials)])",
+     "basis = integer_row_echelon([g.exponents for g in ratio_lattice(monomials)])[1:]"),
+    # a lattice payload with an empty Gram matrix, negative definite vacuously
+    ("src/bicanonical/cli.py",
+     '"gram": {"type": "array", "minItems": 1, "maxItems": 20,',
+     '"gram": {"type": "array", "maxItems": 20,'),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -469,7 +469,7 @@ _KIND_FIELDS = {
              "b": _COEFF_MAP,
              "degree": {"type": "integer", "minimum": 1, "maximum": MAX_INTEGER},
              "k": {"type": "integer", "minimum": 2, "maximum": MAX_INTEGER},
-             "gram": {"type": "array", "maxItems": 20,
+             "gram": {"type": "array", "minItems": 1, "maxItems": 20,
                       "items": {"type": "array", "items": _INT, "maxItems": 20}}},
             ["op"],
             allOf=[{"if": {"properties": {"op": {"const": op}}}, "then": {"required": fields}}

@@ -7,18 +7,19 @@ becomes such a tuple, and it checks the length first.  The pairing of a
 character chi with an element g is the integer exponent
 sum chi_i g_i weight_i modulo the group exponent, never a floating-point
 root of unity.  There are no element or character objects: orders
-(order_of), images under an automorphism and the pairings are all computed
-on the tuples.
+(order_of) and the pairings are computed on the tuples, and the images
+under an automorphism are looked up in the table it lists once at
+creation, keyed by reduced tuples only.
 
 The group is enumerated in one order, that of coordinate_vectors(), and
 AbelianGroup.linear_values is the one place besides it that knows the
 order: it lists a linear form at every coordinate vector, grown one
-coordinate at a time.  Automorphism checks bijectivity on the images it
-lists, covers tabulates the pairing values of each branch element with it,
-and beauville lists -(chi o psi) for every character chi with it, one
-output coordinate per call, so the characters of G x G killing the graph
-of psi, the pairs (-(chi o psi), chi), need no per-character pullback and
-no G x G.
+coordinate at a time.  Automorphism lists the image of every element with
+it, keeps them as its table and checks bijectivity on them; covers
+tabulates the pairing values of each branch element with it, and beauville
+lists -(chi o psi) for every character chi with it, one output coordinate
+per call, so the characters of G x G killing the graph of psi, the pairs
+(-(chi o psi), chi), need no per-character pullback and no G x G.
 
 A character kills a subgroup iff it kills its members, so an orthogonal
 complement or a common kernel is one scan of the coordinate vectors of the
@@ -126,8 +127,10 @@ class Automorphism:
     standard generators.  On creation the matrix must define a homomorphism
     whose image is the whole group: image coordinate i of every element is
     listed at once by linear_values on row i, and the reduced rows, zipped
-    into tuples, must give |G| distinct images.  perfbench/tracing.py wraps
-    __init__ by name."""
+    into tuples, are kept as the table images, from each element's reduced
+    tuple in coordinate_vectors() order to its image; they must be |G|
+    distinct.  Applying it is a lookup in that table, so it takes reduced
+    tuples only.  perfbench/tracing.py wraps __init__ by name."""
 
     def __init__(self, group: AbelianGroup, matrix: tuple[tuple[int, ...], ...]):
         self.group = group
@@ -143,7 +146,8 @@ class Automorphism:
                 if (moduli[j] * matrix[i][j]) % moduli[i] != 0:
                     raise GroupError("matrix does not define a homomorphism")
         rows = [[v % m for v in group.linear_values(row)] for row, m in zip(matrix, moduli)]
-        if len(set(zip(*rows))) != group.order:
+        self.images = dict(zip(group.coordinate_vectors(), zip(*rows)))
+        if len(set(self.images.values())) != group.order:
             raise GroupError("matrix is not invertible over the group")
 
     @classmethod
@@ -157,11 +161,13 @@ class Automorphism:
         return cls(group, matrix)
 
     def __call__(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        """The reduced coordinates of the image of an element's coordinates."""
-        if len(coords) != len(self.matrix):
-            raise GroupError("element of a different group")
-        return tuple(sum(map(mul, row, coords)) % m
-                     for row, m in zip(self.matrix, self.group.moduli))
+        """The image of an element, given as its tuple of reduced residues;
+        any other value (another length, an unreduced residue, a list) is an
+        element of a different group."""
+        try:
+            return self.images[coords]
+        except (KeyError, TypeError):
+            raise GroupError("element of a different group") from None
 
 
 class Subgroup:

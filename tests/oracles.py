@@ -6,19 +6,23 @@ point parsing through Fraction (against the integer parsing of
 linsys.ProjectivePoint), projectivities of a configuration (h^0 is invariant
 under them), group addition and the character pairing on coordinate tuples,
 the span of generators by coset closure (against the kernel scan
-grouplib._annihilated), the inverse of an automorphism, the automorphism
-check by an exhaustive scan of the group (against the listed images of
-grouplib.Automorphism), the pullback chi o psi of one character (against
-the columns of beauville.minus_pullbacks) and its untransposed misreading
-(which the descent check must catch), the charged degree of one character
-by one pairing per branch element (against the table of
+grouplib._annihilated), the inverse of an automorphism, the image of one
+element by a dot product with each matrix row (against the image table of
+grouplib.Automorphism), the automorphism check by an exhaustive scan of the
+group (against the listed images of grouplib.Automorphism), the pullback
+chi o psi of one character (against the columns of
+beauville.minus_pullbacks) and its untransposed misreading (which the
+descent check must catch), the charged degree of one character by one
+pairing per branch element (against the table of
 covers.BranchDataP1.charged_degrees and the dual-basis degrees of its
 validation), fixed points and graph freeness by repeated addition (against
 the multiples of beauville.fixed_point_elements and is_free), the 225
 Fermat bimonomials, the Fermat weight check at all 5^6 residue tuples
-(against fermat.verify_weight_derivation), the dual-basis line bundle
-degrees of P^1 branch data, and the Inoue building data.  The library does
-not import this module.
+(against fermat.verify_weight_derivation), membership of a ratio in the
+lattice spanned by generators, brought to echelon form anew for each
+target (against the one shared basis of fermat.fermat_report), the
+dual-basis line bundle degrees of P^1 branch data, and the Inoue building
+data.  The library does not import this module.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from bicanonical.covers import BranchDataSurface, InvalidCoverData
+from bicanonical.exactlinalg import in_row_lattice
 from bicanonical.fermat import BiMonomial
 from bicanonical.grouplib import Automorphism, GroupError
 from bicanonical.linsys import PointConfig, ProjectivePoint
@@ -143,6 +148,12 @@ def inverse(psi: Automorphism) -> Automorphism:
     return Automorphism.from_images(psi.group, [lookup[gen] for gen in psi.group.generators()])
 
 
+def matrix_image(matrix, moduli, coords) -> tuple[int, ...]:
+    """The arithmetic route of an automorphism: the reduced coordinates of
+    the image of coords, one dot product with each row of the matrix."""
+    return tuple(sum(a * c for a, c in zip(row, coords)) % m for row, m in zip(matrix, moduli))
+
+
 def automorphism_error(group, matrix) -> str | None:
     """The message with which the exhaustive check rejects a matrix over the
     group, or None if it is an automorphism: the shape, then the
@@ -153,8 +164,7 @@ def automorphism_error(group, matrix) -> str | None:
         return "automorphism matrix has the wrong shape"
     if any((moduli[j] * matrix[i][j]) % moduli[i] for i in range(n) for j in range(n)):
         return "matrix does not define a homomorphism"
-    images = {tuple(sum(a * c for a, c in zip(row, coords)) % m
-                    for row, m in zip(matrix, moduli))
+    images = {matrix_image(matrix, moduli, coords)
               for coords in itertools.product(*(range(m) for m in moduli))}
     if len(images) != group.order:
         return "matrix is not invertible over the group"
@@ -231,6 +241,13 @@ def weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi) -> 
         if direct != [(a * A + b * B) % 5 for A, B in coefficients]:
             return False
     return True
+
+
+def field_lattice_contains(target, generators) -> bool:
+    """Exact membership of a RatioVector in the Z-span of the given
+    RatioVectors, with the generators brought to echelon form for this one
+    target."""
+    return in_row_lattice(target.exponents, [g.exponents for g in generators])
 
 
 def dual_basis_degrees(group, data) -> tuple[int, ...]:

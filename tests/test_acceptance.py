@@ -14,8 +14,7 @@ from bicanonical.covers import (BranchDataP1, double_cover_invariants,
                                 z22_bicanonical_report, z22_element_name,
                                 z22_surface_cover_invariants)
 from bicanonical.fermat import (builtin_ratio_identities, fermat_fixed_elements,
-                                fermat_psi, field_lattice_contains,
-                                invariant_monomials, ratio_lattice, residual_kernel,
+                                fermat_psi, invariant_monomials, ratio_lattice, residual_kernel,
                                 verify_ratio_identity, verify_weight_derivation,
                                 x1_5_over_z1_5, x5_over_z5)
 from bicanonical.grouplib import Automorphism, GroupError, make_group
@@ -23,7 +22,7 @@ from bicanonical.linsys import FatPointSystem, h0_class, h0_fat_points, quadrila
 from bicanonical.piclattice import quadrilateral_catalog
 from bicanonical.proofcheck import check_corollary, reider_enumeration, run_case_table
 from oracles import (add, apply_projectivity, charged_degree, dual_basis_degrees,
-                     inoue_building_data, pairing)
+                     field_lattice_contains, inoue_building_data, pairing)
 
 
 def _report(n, text):

@@ -492,6 +492,13 @@ def test_lattice_operand_errors_name_their_path(tmp_path, capsys, op, message):
     assert (code, out) == (1, f"error: validation failed: {message}\n")
 
 
+def test_empty_gram_matrix_is_refused(tmp_path, capsys):
+    # the 0 x 0 matrix would pass the definiteness test vacuously
+    payload = {"kind": "lattice", "operations": [{"op": "negative-definite", "gram": []}]}
+    code, out = run_cli(capsys, "run", write_scenario(tmp_path, payload))
+    assert (code, out) == (1, "error: $.operations[0].gram: [] should be non-empty\n")
+
+
 def test_linsys_system_without_class_or_degree_names_its_path(tmp_path, capsys):
     payload = {"kind": "linsys", "systems": [{"degree": 2, "multiplicities": {}},
                                              {"degree": 3}]}
@@ -973,6 +980,8 @@ _LINSYS, _LATTICE = _CONTRACT_PAYLOADS[-2], _CONTRACT_PAYLOADS[-1]
      "$.checks[3]: 'x' is not one of ['case-table', 'reider', 'lemma32']"),
     (_edited("beauville8", lambda p: (p.pop("curve2"), p["curve1"].update(line_bundles="x"))),
      "$: 'curve2' is a required property"),
+    (_edited(_LATTICE, lambda p: p["operations"][3].update(gram=[])),
+     "$.operations[3].gram: [] should be non-empty"),
 ])
 def test_schema_messages_match_jsonschema(payload, message):
     assert _validation_error(payload) == message

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 from bicanonical import fermat
 from bicanonical.beauville import fixed_point_elements, is_free
 from bicanonical.covers import BranchDataP1
+from bicanonical.exactlinalg import in_row_lattice
 from bicanonical.fermat import (FERMAT_GENUS, FERMAT_GROUP, BiMonomial, RatioVector,
                                 builtin_ratio_identities, combination_vector,
                                 factor_weight, fermat_fixed_elements, fermat_psi,
-                                fermat_report, field_lattice_contains, invariant_monomials,
-                                monomial_ratio, ratio_lattice,
-                                residual_character, residual_kernel,
+                                fermat_report, invariant_monomials, monomial_ratio,
+                                ratio_lattice, residual_character, residual_kernel,
                                 verify_ratio_identity, verify_weight_derivation,
                                 weight_coefficients, x1_5_over_z1_5, x5_over_z5)
 from bicanonical.grouplib import Automorphism
-from oracles import (all_bimonomials, automorphism_error, fixed_elements_of,
-                     free_with_witness, pairing, weight_derivation_at_all_tuples)
+from oracles import (all_bimonomials, automorphism_error, field_lattice_contains,
+                     fixed_elements_of, free_with_witness, pairing,
+                     weight_derivation_at_all_tuples)
 
 
 def weight(a, b, m):
@@ -315,3 +316,22 @@ def test_report_lists_the_invariant_monomials_once(monkeypatch):
     monkeypatch.setattr(fermat, "invariant_monomials", lambda: calls.append(1) or real())
     assert len(fermat.fermat_report().monomials) == 9
     assert len(calls) == 1
+
+
+def test_report_echelons_the_ratio_lattice_once(monkeypatch):
+    calls = []  # (rows given, basis returned) per call
+    real = fermat.integer_row_echelon
+
+    def spy(rows):
+        calls.append((len(rows), real(rows)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fermat, "integer_row_echelon", spy)
+    report = fermat.fermat_report()
+    assert [n for n, _ in calls] == [8]
+    assert report.lattice_memberships == [("x^5/z^5", True), ("x1^5/z1^5", True)]
+    # the shared basis has four rows and still refuses x/y, which is not
+    # even invariant under the graph action
+    basis = calls[0][1]
+    assert len(basis) == 4
+    assert not in_row_lattice(RatioVector.of(x=1, y=-1).exponents, basis)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from bicanonical.beauville import minus_pullbacks
 from bicanonical.covers import BranchDataP1, InvalidCoverData
-from bicanonical.grouplib import (Automorphism, GroupError, Subgroup, common_kernel,
-                                  element_name, make_group, order_of, orthogonal_complement)
-from oracles import (add, automorphism_error, charged_degree, inverse, neg, pairing, pullback,
-                     span)
+from bicanonical.grouplib import (MAX_GROUP_ORDER, Automorphism, GroupError, Subgroup,
+                                  common_kernel, element_name, make_group, order_of,
+                                  orthogonal_complement)
+from oracles import (add, automorphism_error, charged_degree, inverse, matrix_image, neg,
+                     pairing, pullback, span)
 
 
 def identity(group):
@@ -120,6 +121,48 @@ def test_automorphism_application_examples():
     psi55 = Automorphism.from_images(G55, [(1, -1), (1, 2)])
     assert psi55((0, 1)) == (1, 2)
     assert psi55((1, 0)) == (1, 4)
+
+
+@st.composite
+def _filtered_automorphisms(draw):
+    """An automorphism over moduli 2 to 6 and rank 1 to 3: entry (i, j) a
+    multiple of m_i / gcd(m_i, m_j), kept when the exhaustive scan of the
+    oracles accepts the matrix."""
+    moduli = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    matrix = tuple(tuple(draw(st.integers(0, mi - 1)) * (mi // gcd(mi, mj)) % mi
+                         for mj in moduli) for mi in moduli)
+    group = make_group(moduli)
+    assume(automorphism_error(group, matrix) is None)
+    return Automorphism(group, matrix)
+
+
+@given(_filtered_automorphisms())
+@settings(max_examples=200, deadline=None)
+def test_image_table_matches_the_matrix_route(psi):
+    G = psi.group
+    assert list(psi.images) == list(G.coordinate_vectors())
+    for g in G.coordinate_vectors():
+        assert psi(g) == psi.images[g] == matrix_image(psi.matrix, G.moduli, g)
+
+
+@pytest.mark.parametrize("moduli, coords", [
+    ((5, 5), (5, 0)), ((5, 5), (0, -1)), ((2, 2, 2), (1, 0)), ((5, 5), [1, 0])],
+    ids=["unreduced", "negative", "short", "list"])
+def test_image_of_a_foreign_value_is_a_group_error(moduli, coords):
+    psi = identity(make_group(moduli))
+    with pytest.raises(GroupError, match="^element of a different group$"):
+        psi(coords)
+
+
+def test_image_table_at_the_order_cap():
+    G = make_group([2] * 9)
+    assert G.order == MAX_GROUP_ORDER
+    # e_j -> e_j + e_(j+1): unipotent, so an automorphism other than the identity
+    psi = Automorphism.from_images(
+        G, [tuple(int(i in (j, j + 1)) for i in range(9)) for j in range(9)])
+    assert len(psi.images) == 512
+    assert all(psi(g) == matrix_image(psi.matrix, G.moduli, g)
+               for g in G.coordinate_vectors())
 
 
 def test_automorphism_rejects_singular_matrix():
