@@ -35,7 +35,7 @@ MUTANTS = [
     ("src/bicanonical/piclattice.py",
      "return all(m * (-1) ** (k + 1) > 0 for k, m in enumerate(minors))",
      "return all(m * (-1) ** (k + 1) >= 0 for k, m in enumerate(minors))"),
-    # degree 2 for a kernel of any order >= 2, past what the degree bound gives
+    # bicanonical_degree 2 for a kernel of any order >= 2, past what the degree bound gives
     ("src/bicanonical/covers.py",
      "    if kernel.order == 2:",
      "    if kernel.order >= 2:"),
@@ -178,8 +178,20 @@ MUTANTS = [
      "self.images = dict(zip(group.coordinate_vectors(), zip(*rows[::-1])))"),
     # the Fermat lattice memberships tested against a basis missing a row
     ("src/bicanonical/fermat.py",
-     "basis = integer_row_echelon([g.exponents for g in ratio_lattice(monomials)])",
-     "basis = integer_row_echelon([g.exponents for g in ratio_lattice(monomials)])[1:]"),
+     "basis = integer_row_echelon(ratio_lattice(monomials))",
+     "basis = integer_row_echelon(ratio_lattice(monomials))[1:]"),
+    # a Fermat report with a lattice membership false still exits 0
+    ("src/bicanonical/cli.py",
+     "\n            and all(ok for _, ok in report.lattice_memberships)):",
+     "):"),
+    # a proof check with an inconsistent lemma 3.2 case still verified
+    ("src/bicanonical/cli.py",
+     "                    and all(c[\"consistent\"] for c in curve[\"cases\"])\n",
+     ""),
+    # the 2(K - L) = L0 cover with M^2 drifted by one K.L term
+    ("src/bicanonical/proofcheck.py",
+     "M_sq=num[\"K_sq\"] - 2 * num[\"K_L\"] + num[\"L_sq\"]",
+     "M_sq=num[\"K_sq\"] - num[\"K_L\"] + num[\"L_sq\"]"),
     # a lattice payload with an empty Gram matrix, negative definite vacuously
     ("src/bicanonical/cli.py",
      '"gram": {"type": "array", "minItems": 1, "maxItems": 20,',

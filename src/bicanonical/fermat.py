@@ -13,7 +13,10 @@ under the graph action of (a, b) (the automorphism sends (1,0) to (1,-1) and
 (0,1) to (1,2)).  Filtering all 225 monomials by l = 0 for every (a, b)
 produces a 9-dimensional invariant basis; ratios of those monomials generate
 the function field of the bicanonical image, and membership questions in
-that field reduce to exact integer lattice computations on exponent vectors.
+that field reduce to exact integer lattice computations on exponent vectors,
+plain 6-tuples over (x, y, z, x1, y1, z1).  COORDINATE_RATIOS states each
+coordinate ratio of the quotient map once, for its factorisation and its
+lattice membership alike.
 The residual group G = (G x G)/Gamma acts on the invariant monomials by the
 weight of (0, g), the representative of the class of g, so its characters
 and kernel are computed in G itself.
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from . import beauville
-from .covers import CoverInvariants, InternalInconsistency, Verdict, make_verdict
+from .covers import CoverInvariants, InternalInconsistency, bicanonical_degree
 from .exactlinalg import in_row_lattice, integer_row_echelon
 from .grouplib import AbelianGroup, Automorphism, Subgroup, common_kernel
 
@@ -137,30 +140,13 @@ def invariant_monomials() -> list[BiMonomial]:
             if A % 5 == 0 and B % 5 == 0]
 
 
-class RatioVector:
-    """Exponent vector in Z^6 of a ratio of bidegree-(4,4) monomials; the
-    exponents over each factor's variables sum to zero."""
-
-    def __init__(self, exponents: tuple[int, int, int, int, int, int]):
-        self.exponents = exponents
-        if len(exponents) != 6:
-            raise ValueError("need six exponents")
-        if sum(exponents[:3]) != 0 or sum(exponents[3:]) != 0:
-            raise ValueError("a ratio has degree zero on each factor")
-
-    @classmethod
-    def of(cls, **exps) -> "RatioVector":
-        unknown = set(exps) - set(_VARIABLES)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        return cls(tuple(int(exps.get(v, 0)) for v in _VARIABLES))
-
-
-def monomial_ratio(m1: BiMonomial, m2: BiMonomial) -> RatioVector:
-    return RatioVector(tuple(a - b for a, b in zip(m1.exponents(), m2.exponents())))
+def monomial_ratio(m1: BiMonomial, m2: BiMonomial) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(m1.exponents(), m2.exponents()))
 
 
 def combination_vector(combo) -> tuple[int, ...]:
+    """Exponent vector of a product of monomial powers.  It decides identities
+    of ratios: the quintic's relation never identifies distinct monomials."""
     total = [0] * 6
     for monomial, power in combo:
         for k, e in enumerate(monomial.exponents()):
@@ -168,49 +154,37 @@ def combination_vector(combo) -> tuple[int, ...]:
     return tuple(total)
 
 
-def verify_ratio_identity(target: RatioVector, combo) -> bool:
-    """Does the product of the given monomial powers equal the target ratio?
-    Exponent-vector equality is enough: the single relation on the quintic is
-    additive and never identifies distinct monomials."""
-    return combination_vector(combo) == target.exponents
-
-
-def ratio_lattice(monomials) -> list[RatioVector]:
+def ratio_lattice(monomials) -> list[tuple[int, ...]]:
     """Generators of the lattice of ratios: m / m0 for a fixed base monomial.
     Any base gives the same lattice since differences of differences span it."""
     ms = list(monomials)
-    if len(ms) < 2:
-        return []
-    base = ms[0]
-    return [monomial_ratio(m, base) for m in ms[1:]]
+    return [monomial_ratio(m, ms[0]) for m in ms[1:]]
 
 
-def x5_over_z5() -> RatioVector:
-    return RatioVector.of(x=5, z=-5)
-
-
-def x1_5_over_z1_5() -> RatioVector:
-    return RatioVector.of(x1=5, z1=-5)
+# The coordinate ratios of the quotient map: name, exponent vector, and the
+# displayed factorisation as powers of invariant monomials, named by str().
+COORDINATE_RATIOS = (
+    ("x^5/z^5", (5, 0, -5, 0, 0, 0),
+     (("x^3*y*x1^2*y1^2", 1), ("x^4*y1*z1^3", 1), ("x^2*y*z*x1*z1^3", -1),
+      ("z^4*x1*y1^3", -1))),
+    ("x1^5/z1^5", (0, 0, 0, 5, 0, -5),
+     (("z^4*x1*y1^3", 2), ("y^3*z*y1^2*z1^2", 1), ("x^3*y*x1^2*y1^2", 2),
+      ("x^2*y*z*x1*z1^3", -1), ("x*y*z^2*y1^3*z1", -4))),
+)
 
 
 def builtin_ratio_identities(monomials) -> list[
-        tuple[str, RatioVector, list[tuple[BiMonomial, int]]]]:
-    """The two displayed factorisations of the quotient-map coordinate
-    functions as products of the given invariant monomials.  A named
-    monomial that is not among them is an InternalInconsistency: the weight
-    formula has drifted."""
+        tuple[str, tuple[int, ...], list[tuple[BiMonomial, int]]]]:
+    """COORDINATE_RATIOS with the factorisations over the given monomials.  A
+    named monomial that is not among them is an InternalInconsistency: the
+    weight formula has drifted."""
     m = {str(mono): mono for mono in monomials}
     try:
-        first = [(m["x^3*y*x1^2*y1^2"], 1), (m["x^4*y1*z1^3"], 1),
-                 (m["x^2*y*z*x1*z1^3"], -1), (m["z^4*x1*y1^3"], -1)]
-        second = [(m["z^4*x1*y1^3"], 2), (m["y^3*z*y1^2*z1^2"], 1),
-                  (m["x^3*y*x1^2*y1^2"], 2), (m["x^2*y*z*x1*z1^3"], -1),
-                  (m["x*y*z^2*y1^3*z1"], -4)]
+        return [(name, target, [(m[text], power) for text, power in factors])
+                for name, target, factors in COORDINATE_RATIOS]
     except KeyError as exc:
         raise InternalInconsistency(f"the ratio identities use {exc.args[0]}, "
                                     "which is not an invariant monomial") from None
-    return [("x^5/z^5", x5_over_z5(), first),
-            ("x1^5/z1^5", x1_5_over_z1_5(), second)]
 
 
 def residual_character(m: BiMonomial) -> tuple[int, int]:
@@ -244,19 +218,19 @@ def fermat_fixed_elements() -> frozenset[tuple[int, int]]:
 
 
 class FermatReport:
-    def __init__(self, invariants: CoverInvariants, action_free: bool,
-                 monomials: list[BiMonomial], weight_identity: bool,
-                 ratio_checks: list[tuple[str, bool]],
-                 lattice_memberships: list[tuple[str, bool]], kernel: Subgroup, verdict: Verdict):
-        self.invariants, self.action_free, self.monomials = invariants, action_free, monomials
+    def __init__(self, invariants: CoverInvariants, monomials: list[BiMonomial],
+                 weight_identity: bool, ratio_checks: list[tuple[str, bool]],
+                 lattice_memberships: list[tuple[str, bool]], kernel: Subgroup):
+        self.invariants, self.monomials = invariants, monomials
         self.weight_identity, self.ratio_checks = weight_identity, ratio_checks
-        self.lattice_memberships, self.kernel, self.verdict = lattice_memberships, kernel, verdict
+        self.lattice_memberships, self.kernel = lattice_memberships, kernel
+        self.degree = bicanonical_degree(kernel)
 
 
 def fermat_report() -> FermatReport:
-    """End-to-end analysis of the quotient surface: invariants, invariant
-    monomial basis, the function-field lattice facts, and the verdict on the
-    bicanonical map."""
+    """End-to-end analysis of the quotient surface, whose graph action must
+    be free: invariants, invariant monomial basis, the function-field lattice
+    facts, and the degree of the bicanonical map."""
     psi = fermat_psi()
     fixed = fermat_fixed_elements()
     free, witness = beauville.is_free(psi, fixed, fixed)
@@ -266,11 +240,10 @@ def fermat_report() -> FermatReport:
                                                 FERMAT_GROUP.order)
     monomials = invariant_monomials()
     # one echelon basis of the ratio lattice serves both memberships
-    basis = integer_row_echelon([g.exponents for g in ratio_lattice(monomials)])
-    ratio_checks = [(name, verify_ratio_identity(target, combo))
+    basis = integer_row_echelon(ratio_lattice(monomials))
+    ratio_checks = [(name, combination_vector(combo) == target)
                     for name, target, combo in builtin_ratio_identities(monomials)]
-    memberships = [("x^5/z^5", in_row_lattice(x5_over_z5().exponents, basis)),
-                   ("x1^5/z1^5", in_row_lattice(x1_5_over_z1_5().exponents, basis))]
-    kernel = residual_kernel(monomials)
-    return FermatReport(invariants, free, monomials, verify_weight_derivation(),
-                        ratio_checks, memberships, kernel, make_verdict(kernel))
+    memberships = [(name, in_row_lattice(target, basis))
+                   for name, target, _ in COORDINATE_RATIOS]
+    return FermatReport(invariants, monomials, verify_weight_derivation(),
+                        ratio_checks, memberships, residual_kernel(monomials))

@@ -9,7 +9,9 @@ Veronese of a quadric or the anticanonical blowup in one point.  Pulling the
 hyperplane decomposition H = 2l + l0 back along the degree-4 map yields
 double-cover data whose invariants violate the bound K_Y^2 >= 16 (q(Y) - 1)
 in every branch; this module recomputes those tables from the lattice
-numerics and verifies each contradiction.
+numerics and verifies each contradiction.  The two blowup images share one
+builder of the cover 2(K - L) = L0, and each lemma 3.2 case of lemma32_cases
+records whether its identities hold.
 """
 
 from __future__ import annotations
@@ -78,15 +80,14 @@ def _blowup_pullback_numerics(n_points: int):
             "K_L": twoK_L // 2, "K_L0": twoK_L0 // 2, "K_sq": twoK_sq // 4}
 
 
-def _case_k7_irreducible() -> DoubleCoverInput:
-    """K^2 = 7, the double cover defined by 2(K - L) = L0 (L0 irreducible or
-    a sum of two (-3)-curves)."""
-    num = _blowup_pullback_numerics(2)
-    M_sq = num["K_sq"] - 2 * num["K_L"] + num["L_sq"]
-    M_K = num["K_sq"] - num["K_L"]
-    return DoubleCoverInput("K7-irreducible", chi_base=1, pg_base=0,
-                            K2_base=num["K_sq"], M_sq=M_sq, M_K=M_K,
-                            h0_K_plus_M=H0_TWISTED_CUBIC_RESIDUAL)
+def _case_blowup(label: str, n_points: int, h0_K_plus_M: int) -> DoubleCoverInput:
+    """The double cover defined by 2(K - L) = L0 when the image is the
+    anticanonical blowup of the plane at n points: n = 2 for K^2 = 7 (L0
+    irreducible or a sum of two (-3)-curves), n = 1 for K^2 = 8."""
+    num = _blowup_pullback_numerics(n_points)  # M = K - L
+    return DoubleCoverInput(label, chi_base=1, pg_base=0, K2_base=num["K_sq"],
+                            M_sq=num["K_sq"] - 2 * num["K_L"] + num["L_sq"],
+                            M_K=num["K_sq"] - num["K_L"], h0_K_plus_M=h0_K_plus_M)
 
 
 def _case_k7_divisible() -> DoubleCoverInput:
@@ -117,24 +118,13 @@ def _case_k8_veronese() -> DoubleCoverInput:
                             h0_K_plus_M=H0_QUADRIC_HYPERPLANE)
 
 
-def _case_k8_blowup() -> DoubleCoverInput:
-    """K^2 = 8, image the anticanonical blowup of the plane at one point,
-    double cover defined by 2(K - L) = L0."""
-    num = _blowup_pullback_numerics(1)
-    M_sq = num["K_sq"] - 2 * num["K_L"] + num["L_sq"]
-    M_K = num["K_sq"] - num["K_L"]
-    return DoubleCoverInput("K8-blowup", chi_base=1, pg_base=0,
-                            K2_base=num["K_sq"], M_sq=M_sq, M_K=M_K,
-                            h0_K_plus_M=H0_LINE_PLUS_PENCIL)
-
-
 def run_case_table() -> list[CaseRecord]:
     """All four degree-4 branches, each ending in a contradiction with the
     double-cover bound.  Any drift from the stored expected tuples raises."""
     records = []
-    for builder in (_case_k7_irreducible, _case_k7_divisible,
-                    _case_k8_veronese, _case_k8_blowup):
-        cover = builder()
+    for cover in (_case_blowup("K7-irreducible", 2, H0_TWISTED_CUBIC_RESIDUAL),
+                  _case_k7_divisible(), _case_k8_veronese(),
+                  _case_blowup("K8-blowup", 1, H0_LINE_PLUS_PENCIL)):
         inv = double_cover_invariants(cover)
         expected = EXPECTED_CASE_TUPLES[cover.label]
         if inv.as_tuple() != expected:

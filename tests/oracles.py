@@ -244,10 +244,10 @@ def weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi) -> 
 
 
 def field_lattice_contains(target, generators) -> bool:
-    """Exact membership of a RatioVector in the Z-span of the given
-    RatioVectors, with the generators brought to echelon form for this one
+    """Exact membership of an exponent tuple in the Z-span of the given
+    exponent tuples, with the generators brought to echelon form for this one
     target."""
-    return in_row_lattice(target.exponents, [g.exponents for g in generators])
+    return in_row_lattice(target, generators)
 
 
 def dual_basis_degrees(group, data) -> tuple[int, ...]:

@@ -235,8 +235,7 @@ def test_bicanonical_report_z23():
     assert [e.character for e in report.entries] == sorted(table)
     assert table == EXPECTED_Z23_TABLE
     assert report.kernel.elements() == [(0, 0, 0), (0, 0, 1)]
-    assert not report.verdict.birational
-    assert report.verdict.degree == 2
+    assert report.degree == 2
 
 
 def test_bicanonical_report_z24():
@@ -247,8 +246,7 @@ def test_bicanonical_report_z24():
     assert dims == [4, 1, 1, 1, 1, 1] + [0] * 10
     assert report.p2 == 9
     assert report.kernel.order == 1
-    assert report.verdict.birational
-    assert report.verdict.degree == 1
+    assert report.degree == 1
 
 
 def test_eigentable_supported_on_gamma_perp_only():

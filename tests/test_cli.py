@@ -620,6 +620,16 @@ def test_failed_fermat_identity_exits_2_with_its_partial_report(capsys, monkeypa
     assert "weight formula derivation: FAILED" in out
 
 
+def test_failed_fermat_membership_exits_2_with_its_partial_report(capsys, monkeypatch):
+    # the shared echelon basis one row short: x^5/z^5 falls out of its span
+    real = fermat.integer_row_echelon
+    monkeypatch.setattr(fermat, "integer_row_echelon", lambda rows: real(rows)[1:])
+    code, out = run_cli(capsys, "run", "fermat-z52")
+    assert code == 2
+    assert "x^5/z^5 in the invariant-ratio lattice: false" in out
+    assert "x1^5/z1^5 in the invariant-ratio lattice: true" in out
+
+
 def test_drifted_weight_formula_exits_2(capsys, monkeypatch):
     # +beta for -beta: the check fails, and so does the invariance of the
     # monomials that the ratio identities name
@@ -635,6 +645,21 @@ def test_drifted_proofcheck_value_exits_2(capsys, monkeypatch):
     code, out = run_cli(capsys, "run", "proofcheck-all")
     assert (code, out) == (2, "error: internal inconsistency: K8-blowup: computed "
                               "(24, 3, 5, 3), expected (24, 3, 5, 4)\n")
+
+
+def test_inconsistent_lemma32_case_exits_2_with_its_partial_report(capsys, monkeypatch):
+    real = proofcheck.lemma32_cases
+
+    def drifted():
+        report = real()
+        report.cases[1].consistent = False
+        return report
+
+    monkeypatch.setattr(proofcheck, "lemma32_cases", drifted)
+    code, out = run_cli(capsys, "run", "proofcheck-all")
+    assert code == 2
+    assert "  a=1: θC=2, C²=-6 (INCONSISTENT)" in out
+    assert out.rstrip().endswith("PROOF SKELETON CHECK FAILED")
 
 
 def test_unreadable_scenario_file_is_an_input_error(tmp_path, capsys):

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from bicanonical.covers import (BranchDataP1, BranchDataSurface, CoverInvariants,
                                 DoubleCoverInput, InternalInconsistency,
-                                InvalidCoverData, double_cover_invariants,
-                                eigensheaf_degrees, genus_from_degrees, make_verdict,
+                                InvalidCoverData, bicanonical_degree, double_cover_invariants,
+                                eigensheaf_degrees, genus_from_degrees,
                                 projection_decomposition, rh_genus, validate_building_data,
                                 z22_bicanonical_report, z22_element_name,
                                 z22_surface_cover_invariants)
@@ -25,11 +25,11 @@ def h0():
 def test_verdict_degree_is_known_only_up_to_an_involution():
     group = make_group((2, 2))
     elements = group.elements()
-    assert make_verdict(Subgroup(group, elements[:1])).degree == 1
-    assert make_verdict(Subgroup(group, elements[:2])).degree == 2
+    assert bicanonical_degree(Subgroup(group, elements[:1])) == 1
+    assert bicanonical_degree(Subgroup(group, elements[:2])) == 2
     whole = Subgroup(group, elements)
     assert whole.order == 4
-    assert make_verdict(whole).degree is None
+    assert bicanonical_degree(whole) is None
 
 
 # ------------------------------------------------------------- double covers
@@ -294,8 +294,7 @@ def test_z22_report(h0):
     assert report.invariants.chi + report.K2_minimal == report.p2
     assert [dim for _, _, dim in report.eigentable] == [7, 1, 0, 0]
     assert [z22_element_name(g) for g in report.kernel.elements()] == ["0", "γ₁"]
-    assert not report.verdict.birational
-    assert report.verdict.degree == 2
+    assert report.degree == 2
 
 
 def test_z22_naming_convention():
