@@ -192,6 +192,14 @@ MUTANTS = [
     ("src/bicanonical/proofcheck.py",
      "M_sq=num[\"K_sq\"] - 2 * num[\"K_L\"] + num[\"L_sq\"]",
      "M_sq=num[\"K_sq\"] - num[\"K_L\"] + num[\"L_sq\"]"),
+    # a form that keeps only its diagonal entries, so the quadric's rulings never meet
+    ("src/bicanonical/piclattice.py",
+     "for j, g in enumerate(row) if g)",
+     "for j, g in enumerate(row) if g and i == j)"),
+    # the echelon reduction without its final zero test: every target is a member
+    ("src/bicanonical/exactlinalg.py",
+     "    return not any(t)\n",
+     "    return True\n"),
     # a lattice payload with an empty Gram matrix, negative definite vacuously
     ("src/bicanonical/cli.py",
      '"gram": {"type": "array", "minItems": 1, "maxItems": 20,',

@@ -28,7 +28,8 @@ Z_2 x Z_2 cover class with the paths of the inputs the class is built from
 ($.branch, $.line_bundles.Li or both); invalid building data reads
 "<what> building data invalid, failed relation: <name> (<detail>)".
 2: a failed consistency identity, raised as covers.InternalInconsistency
-or as a FailedReport carrying the partial report that is printed.
+or as a FailedReport carrying the partial report, which run_scenario hands
+on in its ScenarioError: main prints it like a report, as text or JSON.
 Anything else is a bug and keeps its traceback.
 """
 
@@ -48,16 +49,18 @@ BUILTIN_ORDER = ("inoue7", "beauville8", "inoue-z24", "fermat-z52", "proofcheck-
 
 class ScenarioError(Exception):
     """A rejected scenario and its exit code: raised directly only for what the
-    command line checks itself, and by run_scenario for every library error."""
+    command line checks itself, and by run_scenario for every library error.
+    For a FailedReport it also carries the partial report, as run_scenario
+    returns a report: the JSON result and the text lines with their head."""
 
-    def __init__(self, message: str, exit_code: int = 1):
+    def __init__(self, message: str, exit_code: int = 1, report=None):
         super().__init__(message)
-        self.exit_code = exit_code
+        self.exit_code, self.report = exit_code, report
 
 
 class FailedReport(Exception):
     """Raised with a report whose own identities failed (args[0]); that
-    partial report becomes the error text."""
+    partial report is printed in place of the report, with exit 2."""
 
 
 # ------------------------------------------------------------------ schemas
@@ -982,13 +985,16 @@ def load_scenario(arg: str) -> dict:
 
 def run_scenario(payload: dict, verbose: bool = False):
     """Run one scenario: its JSON report, and the text lines rendered from it.
-    The only place where an exception becomes an exit code (module docstring)."""
+    The only place where an exception becomes an exit code (module docstring).
+    A FailedReport leaves as a ScenarioError with exit 2 that carries the
+    same pair for its partial report."""
     kind = validate_payload(payload)
     run, render = KINDS[kind]
+    failed = False
     try:
         result = run(payload, verbose=verbose)
     except FailedReport as exc:
-        raise ScenarioError("\n".join(render(exc.args[0], verbose)), exit_code=2)
+        result, failed = exc.args[0], True
     except covers.InternalInconsistency as exc:
         raise ScenarioError(f"internal inconsistency: {exc}", exit_code=2)
     except ValueError as exc:
@@ -998,7 +1004,11 @@ def run_scenario(payload: dict, verbose: bool = False):
     if name:
         result["scenario"] = name
     head = f"scenario: {name} ({kind})" if name else f"scenario kind: {kind}"
-    return result, [head] + render(result, verbose)
+    report = result, [head] + render(result, verbose)
+    if failed:
+        raise ScenarioError("a consistency identity of the report failed", exit_code=2,
+                            report=report)
+    return report
 
 
 def main(argv=None) -> int:
@@ -1023,18 +1033,21 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    code = 0
     try:
         payload = load_scenario(args.scenario)
         result, lines = run_scenario(payload, verbose=args.verbose)
     except ScenarioError as exc:
-        print(f"error: {exc}")
-        return exc.exit_code
+        if exc.report is None:
+            print(f"error: {exc}")
+            return exc.exit_code
+        (result, lines), code = exc.report, exc.exit_code
     if args.as_json:
         print(json.dumps(result, indent=2, sort_keys=True, ensure_ascii=False))
     else:
         for line in lines:
             print(line)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

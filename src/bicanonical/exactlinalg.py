@@ -3,7 +3,9 @@
 Everything downstream (interpolation ranks, definiteness tests, function-field
 lattice membership) reduces to three primitives on matrices with integer
 entries: rank over Q, integer determinants, and membership of a vector in the
-Z-span of a set of integer rows.  No floating point anywhere.
+Z-span of a set of integer rows.  No floating point anywhere.  Membership is
+split in two steps: integer_row_echelon brings the rows to echelon form once,
+and in_echelon_span reduces each target against that basis.
 
 The rank is certified mod a fixed prime first: the rank mod P never exceeds
 the rank over Q, so a matrix of full rank mod P has full rank over Q.  Only
@@ -191,7 +193,15 @@ def integer_row_echelon(rows) -> list[list[int]]:
 
 def in_row_lattice(target, rows) -> bool:
     """Is `target` an integer combination of the given integer rows?"""
-    echelon = integer_row_echelon(rows)
+    return in_echelon_span(target, integer_row_echelon(rows))
+
+
+def in_echelon_span(target, echelon) -> bool:
+    """Is `target` an integer combination of the rows of `echelon`, an
+    echelon basis as integer_row_echelon returns it?  Each pivot must divide
+    what is left of the target in its column; the target is in the span
+    exactly when nothing is left at the end.  One basis serves any number
+    of targets."""
     t = list(map(int, target))
     if echelon and len(t) != len(echelon[0]):
         raise ValueError("target length does not match the generators")

@@ -16,7 +16,9 @@ the function field of the bicanonical image, and membership questions in
 that field reduce to exact integer lattice computations on exponent vectors,
 plain 6-tuples over (x, y, z, x1, y1, z1).  COORDINATE_RATIOS states each
 coordinate ratio of the quotient map once, for its factorisation and its
-lattice membership alike.
+lattice membership alike.  fermat_report builds the gluing automorphism psi
+once, for the freeness test and the weight check, and reduces both
+memberships against one echelon basis of the ratio lattice.
 The residual group G = (G x G)/Gamma acts on the invariant monomials by the
 weight of (0, g), the representative of the class of g, so its characters
 and kernel are computed in G itself.
@@ -28,7 +30,7 @@ import itertools
 
 from . import beauville
 from .covers import CoverInvariants, InternalInconsistency, bicanonical_degree
-from .exactlinalg import in_row_lattice, integer_row_echelon
+from .exactlinalg import in_echelon_span, integer_row_echelon
 from .grouplib import AbelianGroup, Automorphism, Subgroup, common_kernel
 
 FERMAT_GROUP = AbelianGroup((5, 5))
@@ -86,10 +88,10 @@ def factor_weight(u, i: int, j: int) -> int:
     return (a * (i + 2) + b * (j + 2)) % 5
 
 
-def verify_weight_derivation() -> bool:
+def verify_weight_derivation(psi: Automorphism) -> bool:
     """Check that the closed weight formula agrees with the factorwise action
-    of (g, psi(g)) at every one of the 5^6 residue tuples (a, b, i, j, alpha,
-    beta) mod 5, without listing them.
+    of (g, psi(g)), for the gluing automorphism psi, at every one of the 5^6
+    residue tuples (a, b, i, j, alpha, beta) mod 5, without listing them.
 
     Write x = (i, j) and y = (alpha, beta).  The direct weight of g = (a, b)
     is the outer sum L(x) + R(y) of the factor tables L of g and R of psi(g);
@@ -104,7 +106,6 @@ def verify_weight_derivation() -> bool:
     values, with the verdict of the comparison at all 5^6 tuples.  The factor
     table of each of the 25 elements is computed once, and R is the table of
     psi(g)."""
-    psi = fermat_psi()
     residues = list(itertools.product(range(5), repeat=2))
     table = [[weight_coefficients(i, j, alpha, beta) for alpha, beta in residues]
              for i, j in residues]
@@ -243,7 +244,7 @@ def fermat_report() -> FermatReport:
     basis = integer_row_echelon(ratio_lattice(monomials))
     ratio_checks = [(name, combination_vector(combo) == target)
                     for name, target, combo in builtin_ratio_identities(monomials)]
-    memberships = [(name, in_row_lattice(target, basis))
+    memberships = [(name, in_echelon_span(target, basis))
                    for name, target, _ in COORDINATE_RATIOS]
-    return FermatReport(invariants, monomials, verify_weight_derivation(),
+    return FermatReport(invariants, monomials, verify_weight_derivation(psi),
                         ratio_checks, memberships, residual_kernel(monomials))

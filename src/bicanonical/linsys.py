@@ -52,7 +52,7 @@ from itertools import combinations
 from math import gcd, lcm, perm
 
 from .exactlinalg import exact_rank
-from .piclattice import DivisorClass
+from .piclattice import DivisorClass, blowup_labels
 
 
 # Caps on the sizes that drive elimination: the degree sets the number of
@@ -334,14 +334,16 @@ def h0_class(cfg: PointConfig, cls: DivisorClass, trace: list[str] | None = None
     e_i negatively at that step, and is recorded in `trace` when given.
     The notes list only these curves, not the lines h0_fat_points strips.
     """
-    if cls.lattice.kind != "blowup" or cls.lattice.rank != cfg.n_points + 1:
+    lattice = cls.lattice
+    if lattice.kind != "blowup" or lattice.labels != blowup_labels(cfg.n_points):
         raise ValueError("class does not live on the blowup at the configured points")
-    d = cls.coefficient("l")
+    # the basis is (l, e1, ..., en), so the coefficients are d, -m1, ..., -mn
+    d, *rest = cls.coeffs
     if d < 0:
         if trace is not None:
             trace.append(f"negative degree d={d}: empty system")
         return 0
-    mult = [-cls.coefficient(f"e{i}") for i in range(1, cfg.n_points + 1)]
+    mult = [-c for c in rest]
     fixed = -sum(m for m in mult if m < 0)
     if fixed > MAX_FIXED_COMPONENTS:
         raise ValueError(f"{fixed} fixed components exceed the limit of {MAX_FIXED_COMPONENTS}")

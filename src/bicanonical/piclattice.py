@@ -9,12 +9,19 @@ of bookkeeping.  make_blowup_lattice builds one lattice per n, which every
 caller shares and none may rebind, so the classes of one blowup share their
 lattice object and the mixing check is an identity test; equal lattices
 built apart still mix.
+
+A lattice lists the nonzero entries (i, j, g) of its form once, when it is
+built, and an intersection number sums a_i g b_j over those alone: rank
+products on a blowup's diagonal form instead of rank^2.  The catalog of
+the quadrilateral blowup holds ten constant classes, so it too is built once
+and shared.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import add, mul, sub
+from operator import add, sub
+from types import MappingProxyType
 
 from .exactlinalg import leading_principal_minors
 
@@ -27,15 +34,15 @@ class Lattice:
     def __init__(self, labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...], kind: str):
         self.labels, self.gram = labels, gram
         self.kind = kind  # "blowup" or "quadric"
+        self.rank = len(labels)
+        # the nonzero entries (i, j, g) of the form, the only terms of a dot product
+        self.entries = tuple((i, j, g) for i, row in enumerate(gram)
+                             for j, g in enumerate(row) if g)
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
         return (self.labels, self.gram, self.kind) == (other.labels, other.gram, other.kind)
-
-    @property
-    def rank(self) -> int:
-        return len(self.labels)
 
     def basis(self, label: str) -> "DivisorClass":
         i = self.labels.index(label)
@@ -58,6 +65,11 @@ class Lattice:
         return DivisorClass(self, vec)
 
 
+def blowup_labels(n: int) -> tuple[str, ...]:
+    """The basis (l, e1, ..., en) of the blowup at n points, in this order."""
+    return ("l",) + tuple(f"e{i}" for i in range(1, n + 1))
+
+
 @cache
 def make_blowup_lattice(n: int) -> Lattice:
     """Picard lattice of the blowup of P^2 at n points, built once per n:
@@ -65,10 +77,9 @@ def make_blowup_lattice(n: int) -> Lattice:
     attributes."""
     if n < 0:
         raise ValueError("cannot blow up a negative number of points")
-    labels = ("l",) + tuple(f"e{i}" for i in range(1, n + 1))
     gram = tuple(tuple((1 if i == j == 0 else -1 if i == j else 0)
                        for j in range(n + 1)) for i in range(n + 1))
-    return Lattice(labels, gram, "blowup")
+    return Lattice(blowup_labels(n), gram, "blowup")
 
 
 def make_quadric_lattice() -> Lattice:
@@ -111,14 +122,14 @@ class DivisorClass:
 
     def dot(self, other: "DivisorClass") -> int:
         self._check(other)
-        b = other.coeffs
-        return sum(a * sum(map(mul, row, b)) for a, row in zip(self.coeffs, self.lattice.gram))
+        a, b = self.coeffs, other.coeffs
+        total = 0
+        for i, j, g in self.lattice.entries:
+            total += a[i] * g * b[j]
+        return total
 
     def self_intersection(self) -> int:
         return self.dot(self)
-
-    def coefficient(self, label: str) -> int:
-        return self.coeffs[self.lattice.labels.index(label)]
 
     def __str__(self):
         parts = []
@@ -181,23 +192,22 @@ class QuadrilateralCatalog:
                  Delta: tuple[DivisorClass, ...], f: tuple[DivisorClass, ...]):
         self.lattice, self.l, self.e, self.K = lattice, l, e, K
         self.S, self.Delta, self.f = S, Delta, f
+        names = {"l": l, "K": K}
+        for prefix, classes in (("e", e), ("S", S), ("Delta", Delta), ("f", f)):
+            names.update((f"{prefix}{i}", cls) for i, cls in enumerate(classes, start=1))
+        self._names = MappingProxyType(names)
 
-    def named(self) -> dict[str, DivisorClass]:
-        out = {"l": self.l, "K": self.K}
-        for i, cls in enumerate(self.e, start=1):
-            out[f"e{i}"] = cls
-        for i, cls in enumerate(self.S, start=1):
-            out[f"S{i}"] = cls
-        for i, cls in enumerate(self.Delta, start=1):
-            out[f"Delta{i}"] = cls
-        for i, cls in enumerate(self.f, start=1):
-            out[f"f{i}"] = cls
-        return out
+    def named(self) -> MappingProxyType:
+        """Every class of the catalog by name, a read-only view built once."""
+        return self._names
 
 
+@cache
 def quadrilateral_catalog() -> QuadrilateralCatalog:
     """Catalog for the points P1=(1:0:0), P2=(0:1:0), P3=(0:0:1), P4=(1:1:1),
-    P5 = P1P2 ^ P3P4, P6 = P1P4 ^ P2P3 (see linsys.quadrilateral_config)."""
+    P5 = P1P2 ^ P3P4, P6 = P1P4 ^ P2P3 (see linsys.quadrilateral_config).
+    Built once: every caller shares this one instance, so no caller may
+    rebind its attributes."""
     lat = make_blowup_lattice(6)
     l = lat.basis("l")
     e = tuple(lat.basis(f"e{i}") for i in range(1, 7))

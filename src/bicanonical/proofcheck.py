@@ -10,8 +10,9 @@ hyperplane decomposition H = 2l + l0 back along the degree-4 map yields
 double-cover data whose invariants violate the bound K_Y^2 >= 16 (q(Y) - 1)
 in every branch; this module recomputes those tables from the lattice
 numerics and verifies each contradiction.  The two blowup images share one
-builder of the cover 2(K - L) = L0, and each lemma 3.2 case of lemma32_cases
-records whether its identities hold.
+builder of the cover 2(K - L) = L0, the K^2 = 7 branch-divisible cover is
+derived from that cover's M = K - L, and each lemma 3.2 case of
+lemma32_cases records whether its identities hold.
 """
 
 from __future__ import annotations
@@ -80,28 +81,27 @@ def _blowup_pullback_numerics(n_points: int):
             "K_L": twoK_L // 2, "K_L0": twoK_L0 // 2, "K_sq": twoK_sq // 4}
 
 
-def _case_blowup(label: str, n_points: int, h0_K_plus_M: int) -> DoubleCoverInput:
-    """The double cover defined by 2(K - L) = L0 when the image is the
-    anticanonical blowup of the plane at n points: n = 2 for K^2 = 7 (L0
-    irreducible or a sum of two (-3)-curves), n = 1 for K^2 = 8."""
-    num = _blowup_pullback_numerics(n_points)  # M = K - L
+def _case_blowup(label: str, num: dict, h0_K_plus_M: int) -> DoubleCoverInput:
+    """The double cover defined by 2(K - L) = L0, so M = K - L, when the
+    image is the anticanonical blowup of the plane at n points, from that
+    blowup's pullback numerics: n = 2 for K^2 = 7 (L0 irreducible or a sum
+    of two (-3)-curves), n = 1 for K^2 = 8."""
     return DoubleCoverInput(label, chi_base=1, pg_base=0, K2_base=num["K_sq"],
                             M_sq=num["K_sq"] - 2 * num["K_L"] + num["L_sq"],
                             M_K=num["K_sq"] - num["K_L"], h0_K_plus_M=h0_K_plus_M)
 
 
-def _case_k7_divisible() -> DoubleCoverInput:
-    """K^2 = 7, the etale cover defined by 2(K - L - D) = 0 when L0 = 2D."""
-    num = _blowup_pullback_numerics(2)
-    # D = L0/2 numerically: D.X = (L0.X)/2 throughout
-    KmL_sq = num["K_sq"] - 2 * num["K_L"] + num["L_sq"]
-    KmL_L0 = num["K_L0"] - num["L_L0"]
-    M_sq_times4 = 4 * KmL_sq - 4 * KmL_L0 + num["L0_sq"]
-    M_K_times2 = 2 * (num["K_sq"] - num["K_L"]) - num["K_L0"]
+def _case_k7_divisible(irreducible: DoubleCoverInput, num: dict) -> DoubleCoverInput:
+    """K^2 = 7, the etale cover defined by 2(K - L - D) = 0 when L0 = 2D: its
+    M' = M - D, for the M = K - L of the irreducible case, has
+    M'^2 = M^2 - M.L0 + L0^2/4 and M'.K = M.K - K.L0/2."""
+    M_L0 = num["K_L0"] - num["L_L0"]
+    M_sq_times4 = 4 * irreducible.M_sq - 4 * M_L0 + num["L0_sq"]
+    M_K_times2 = 2 * irreducible.M_K - num["K_L0"]
     if M_sq_times4 % 4 or M_K_times2 % 2:
         raise InternalInconsistency("half-branch numerics are not integral")
     return DoubleCoverInput("K7-divisible", chi_base=1, pg_base=0,
-                            K2_base=num["K_sq"], M_sq=M_sq_times4 // 4,
+                            K2_base=irreducible.K2_base, M_sq=M_sq_times4 // 4,
                             M_K=M_K_times2 // 2,
                             h0_K_plus_M=H0_HALF_BRANCH_RESIDUAL)
 
@@ -122,9 +122,11 @@ def run_case_table() -> list[CaseRecord]:
     """All four degree-4 branches, each ending in a contradiction with the
     double-cover bound.  Any drift from the stored expected tuples raises."""
     records = []
-    for cover in (_case_blowup("K7-irreducible", 2, H0_TWISTED_CUBIC_RESIDUAL),
-                  _case_k7_divisible(), _case_k8_veronese(),
-                  _case_blowup("K8-blowup", 1, H0_LINE_PLUS_PENCIL)):
+    num7 = _blowup_pullback_numerics(2)
+    irreducible = _case_blowup("K7-irreducible", num7, H0_TWISTED_CUBIC_RESIDUAL)
+    for cover in (irreducible, _case_k7_divisible(irreducible, num7), _case_k8_veronese(),
+                  _case_blowup("K8-blowup", _blowup_pullback_numerics(1),
+                               H0_LINE_PLUS_PENCIL)):
         inv = double_cover_invariants(cover)
         expected = EXPECTED_CASE_TUPLES[cover.label]
         if inv.as_tuple() != expected:

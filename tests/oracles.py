@@ -18,7 +18,9 @@ covers.BranchDataP1.charged_degrees and the dual-basis degrees of its
 validation), fixed points and graph freeness by repeated addition (against
 the multiples of beauville.fixed_point_elements and is_free), the 225
 Fermat bimonomials, the Fermat weight check at all 5^6 residue tuples
-(against fermat.verify_weight_derivation), membership of a ratio in the
+(against fermat.verify_weight_derivation), the intersection number as the
+full Gram product (against the nonzero entries that
+piclattice.DivisorClass.dot sums), membership of a ratio in the
 lattice spanned by generators, brought to echelon form anew for each
 target (against the one shared basis of fermat.fermat_report), the
 dual-basis line bundle degrees of P^1 branch data, and the Inoue building
@@ -241,6 +243,14 @@ def weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi) -> 
         if direct != [(a * A + b * B) % 5 for A, B in coefficients]:
             return False
     return True
+
+
+def gram_product(a, b) -> int:
+    """The intersection number a . b as the full product a G b over every
+    entry of the Gram matrix G, zeros included."""
+    g = a.lattice.gram
+    return sum(a.coeffs[i] * g[i][j] * b.coeffs[j]
+               for i in range(len(g)) for j in range(len(g)))
 
 
 def field_lattice_contains(target, generators) -> bool:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bicanonical import beauville, cli, covers, fermat, linsys, proofcheck
+from bicanonical import beauville, cli, covers, fermat, linsys, piclattice, proofcheck
 from bicanonical.grouplib import make_group
 from oracles import untransposed_minus_pullbacks
 
@@ -56,6 +56,20 @@ def test_inoue7_report_final_line(capsys):
     assert out.rstrip().splitlines()[-1] == (
         "K²=7, p_g=0, p₂=8, eigentable (7,1,0,0), "
         "bicanonical composed with γ₁, degree 2")
+
+
+def test_quadrilateral_catalog_is_built_once_and_stays_as_built():
+    catalog = piclattice.quadrilateral_catalog()
+    first, _ = cli.run_scenario(builtin_payload("inoue7"))
+    second, _ = cli.run_scenario(builtin_payload("inoue7"))
+    assert first == second
+    assert piclattice.quadrilateral_catalog() is catalog
+    fresh = piclattice.quadrilateral_catalog.__wrapped__()
+    assert fresh is not catalog
+    assert dict(catalog.named()) == dict(fresh.named())
+    assert list(catalog.named()) == list(fresh.named())
+    with pytest.raises(TypeError):
+        catalog.named()["K"] = fresh.l
 
 
 def test_beauville8_report_final_line(capsys):
@@ -614,10 +628,22 @@ def test_non_free_fermat_action_exits_2(capsys, monkeypatch):
 
 
 def test_failed_fermat_identity_exits_2_with_its_partial_report(capsys, monkeypatch):
-    monkeypatch.setattr(fermat, "verify_weight_derivation", lambda: False)
+    monkeypatch.setattr(fermat, "verify_weight_derivation", lambda psi: False)
     code, out = run_cli(capsys, "run", "fermat-z52")
     assert code == 2
+    assert out.splitlines()[0] == "scenario: fermat-z52 (fermat)"
     assert "weight formula derivation: FAILED" in out
+
+
+def test_failed_fermat_identity_exits_2_with_its_partial_json(capsys, monkeypatch):
+    monkeypatch.setattr(fermat, "verify_weight_derivation", lambda psi: False)
+    code, out = run_cli(capsys, "run", "fermat-z52", "--json")
+    assert code == 2
+    result = json.loads(out)
+    assert (result["scenario"], result["kind"]) == ("fermat-z52", "fermat")
+    assert result["weight_identity"] is False
+    assert result["lattice_membership"] == [{"name": "x^5/z^5", "contained": True},
+                                            {"name": "x1^5/z1^5", "contained": True}]
 
 
 def test_failed_fermat_membership_exits_2_with_its_partial_report(capsys, monkeypatch):
@@ -626,6 +652,7 @@ def test_failed_fermat_membership_exits_2_with_its_partial_report(capsys, monkey
     monkeypatch.setattr(fermat, "integer_row_echelon", lambda rows: real(rows)[1:])
     code, out = run_cli(capsys, "run", "fermat-z52")
     assert code == 2
+    assert out.splitlines()[0] == "scenario: fermat-z52 (fermat)"
     assert "x^5/z^5 in the invariant-ratio lattice: false" in out
     assert "x1^5/z1^5 in the invariant-ratio lattice: true" in out
 
@@ -658,6 +685,7 @@ def test_inconsistent_lemma32_case_exits_2_with_its_partial_report(capsys, monke
     monkeypatch.setattr(proofcheck, "lemma32_cases", drifted)
     code, out = run_cli(capsys, "run", "proofcheck-all")
     assert code == 2
+    assert out.splitlines()[0] == "scenario: proofcheck-all (proofcheck)"
     assert "  a=1: θC=2, C²=-6 (INCONSISTENT)" in out
     assert out.rstrip().endswith("PROOF SKELETON CHECK FAILED")
 

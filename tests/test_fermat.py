@@ -84,7 +84,7 @@ def test_every_invariant_has_weight_zero_for_all_elements():
 
 
 def test_weight_formula_derivation():
-    assert verify_weight_derivation()
+    assert verify_weight_derivation(fermat_psi())
 
 
 def test_weight_uses_the_closed_coefficients(monkeypatch):
@@ -101,7 +101,7 @@ def test_weight_uses_the_closed_coefficients(monkeypatch):
 ], ids=["sign", "one-tuple"])
 def test_drifted_weight_coefficients_fail_the_check(monkeypatch, drift):
     monkeypatch.setattr(fermat, "weight_coefficients", drift)
-    assert not verify_weight_derivation()
+    assert not verify_weight_derivation(fermat_psi())
 
 
 @pytest.mark.parametrize("drift", [
@@ -110,7 +110,7 @@ def test_drifted_weight_coefficients_fail_the_check(monkeypatch, drift):
 ], ids=["sign", "one-tuple"])
 def test_drifted_factor_weight_fails_the_check(monkeypatch, drift):
     monkeypatch.setattr(fermat, "factor_weight", drift)
-    assert not verify_weight_derivation()
+    assert not verify_weight_derivation(fermat_psi())
 
 
 _RESIDUES = list(itertools.product(range(5), repeat=2))
@@ -162,7 +162,7 @@ def test_weight_check_matches_the_all_tuples_oracle(tables):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fermat, "factor_weight", factor_table)
         patch.setattr(fermat, "weight_coefficients", closed_table)
-        assert verify_weight_derivation() is expected
+        assert verify_weight_derivation(fermat_psi()) is expected
 
 
 def test_weight_check_costs_under_half_the_oracle():
@@ -177,7 +177,7 @@ def test_weight_check_costs_under_half_the_oracle():
     psi = fermat_psi()
     oracle = best_of_5(
         lambda: weight_derivation_at_all_tuples(factor_weight, weight_coefficients, psi))
-    assert best_of_5(verify_weight_derivation) < oracle / 2
+    assert best_of_5(lambda: verify_weight_derivation(psi)) < oracle / 2
 
 
 def test_riemann_roch_count():
@@ -299,7 +299,7 @@ def test_report_builds_the_automorphism_once_beside_the_weight_check(monkeypatch
     real = fermat.fermat_psi
     monkeypatch.setattr(fermat, "fermat_psi", lambda: built.append(1) or real())
     assert fermat.fermat_report().kernel.order == 1
-    assert len(built) == 2  # the report's own, and verify_weight_derivation's
+    assert len(built) == 1  # the report's own, which the weight check is given
 
 
 def test_report_lists_the_invariant_monomials_once(monkeypatch):

@@ -16,7 +16,7 @@ from bicanonical.linsys import (ConfigError, FatPointSystem, PointConfig, Projec
                                 collinear, h0_class, h0_fat_points, interpolation_matrix,
                                 quadrilateral_config)
 from bicanonical.linsys import MAX_COORDINATE, MAX_DEGREE, MAX_FIXED_COMPONENTS
-from bicanonical.piclattice import make_blowup_lattice, quadrilateral_catalog
+from bicanonical.piclattice import Lattice, make_blowup_lattice, quadrilateral_catalog
 from oracles import apply_projectivity, fraction_point, to_fraction
 
 
@@ -175,6 +175,20 @@ def test_h0_class_fixed_component_removal(cfg):
     assert any("e1" in t for t in trace) and any("e3" in t for t in trace)
     # peeling exceptional curves off the zero class changes nothing
     assert h0_class(cfg, cat.e[0] + cat.e[1]) == 1
+
+
+def test_h0_class_refuses_a_blowup_basis_in_another_order(cfg, lat):
+    # the coefficients are read by position, so only the basis (l, e1, ..., e6)
+    # is accepted; a hand-built "blowup" lattice of the right rank is not it
+    reordered = Lattice(("l", "e2", "e1", "e3", "e4", "e5", "e6"), lat.gram, "blowup")
+    cls = reordered.cls((9, -3, -4, -3, -4, -4, -4))
+    with pytest.raises(ValueError, match="does not live on the blowup at the configured points"):
+        h0_class(cfg, cls)
+    renamed = Lattice(("h",) + lat.labels[1:], lat.gram, "blowup")
+    with pytest.raises(ValueError, match="does not live on the blowup"):
+        h0_class(cfg, renamed.zero())
+    by_hand = Lattice(lat.labels, lat.gram, "blowup")
+    assert h0_class(cfg, by_hand.cls((9, -3, -4, -3, -4, -4, -4))) == 7
 
 
 def test_h0_depends_only_on_the_class(cfg):

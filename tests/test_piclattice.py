@@ -8,6 +8,7 @@ from bicanonical.piclattice import (Lattice, LatticeMismatch,
                                     is_negative_definite, make_blowup_lattice,
                                     make_quadric_lattice, pullback_numerics,
                                     quadrilateral_catalog)
+from oracles import gram_product
 
 
 def cls6(l, *e):
@@ -61,15 +62,23 @@ def test_classes_of_equal_lattices_built_apart_mix():
         h1.dot(shared.basis("l"))
 
 
-@given(st.integers(0, 8), st.data())
-@settings(max_examples=60)
-def test_dot_is_the_gram_form(n, data):
-    lattice = make_quadric_lattice() if n == 0 else make_blowup_lattice(n)
+# the quadric, the blowups at 0..9 points, and a form with both kinds of entry
+_LATTICES = ([make_quadric_lattice()] + [make_blowup_lattice(n) for n in range(10)]
+             + [Lattice(("C", "theta"), ((-6, 2), (2, -2)), "abstract")])
+
+
+@given(st.sampled_from(_LATTICES), st.data())
+@settings(max_examples=80)
+def test_dot_is_the_gram_form(lattice, data):
     coefficients = st.lists(st.integers(-50, 50), min_size=lattice.rank, max_size=lattice.rank)
     a, b = lattice.cls(data.draw(coefficients)), lattice.cls(data.draw(coefficients))
-    g = lattice.gram
-    assert a.dot(b) == sum(a.coeffs[i] * g[i][j] * b.coeffs[j]
-                           for i in range(lattice.rank) for j in range(lattice.rank))
+    assert a.dot(b) == gram_product(a, b)
+
+
+def test_form_entries_are_the_nonzero_gram_entries():
+    assert make_quadric_lattice().entries == ((0, 1, 1), (1, 0, 1))
+    assert make_blowup_lattice(2).entries == ((0, 0, 1), (1, 1, -1), (2, 2, -1))
+    assert make_blowup_lattice(0).rank == len(make_blowup_lattice(0).entries) == 1
 
 
 def test_canonical_classes():
